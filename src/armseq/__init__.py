@@ -11,14 +11,13 @@ from .baselines import (CostOracle, TooLargeError, gtsp_bruteforce,
                         naive_sequence, plan_visit_cost, robotsp_sequence)
 from .decomposition import (Decomposition, DecompositionParams, EmptyGraphError,
                             GhaMap, GhaVerification, NoFeasibleRootError,
-                            NoProgressWarning, VisitCounts, decompose,
-                            decompose_mobile, generate_map, get_mapping, update,
-                            verify_gha)
+                            NoProgressWarning, decompose, decompose_mobile,
+                            generate_map, get_mapping, update, verify_gha)
 from .kinematics import (ArmModel, TaskPoint, config_distance,
                          forward_kinematics, ik_solutions, task_distance)
 from .motion import (PlanningTimeoutError, SeedInvalidError, Trajectory,
                      TrajectoryMetrics, adapt_trajectory, fallback_plan,
-                     finite_difference_max_jerk, trajectory_metrics)
+                     finite_difference_max_jerk, plan_leg, trajectory_metrics)
 from .sequencer import (HOME, DisconnectedError, Leg, NoIkSolutionsError,
                         SequencePlan, SequencingParams, TaskMatch, adapt_plan,
                         home_config, intra_subspace_trajectory, match_task,
@@ -34,12 +33,12 @@ __all__ = [
     "HOME", "IslandWarning", "Leg", "NoFeasibleRootError", "NoIkSolutionsError",
     "NoProgressWarning", "PlanningTimeoutError", "Scene", "SeedInvalidError",
     "SequencePlan", "SequencingParams", "TaskGraph", "TaskMatch", "TaskPoint",
-    "TooLargeError", "Trajectory", "TrajectoryMetrics", "VisitCounts",
-    "adapt_plan", "adapt_trajectory", "build_graph", "build_task_grid",
-    "config_distance", "config_valid", "decompose", "decompose_mobile",
-    "fallback_plan", "finite_difference_max_jerk", "forward_kinematics",
-    "generate_map", "get_mapping", "gtsp_bruteforce", "home_config",
-    "ik_solutions", "intra_subspace_trajectory", "match_task", "motion_valid",
-    "naive_sequence", "plan_visit_cost", "robotsp_sequence", "sequence",
-    "solve_tsp", "task_distance", "trajectory_metrics", "update", "verify_gha",
+    "TooLargeError", "Trajectory", "TrajectoryMetrics", "adapt_plan",
+    "adapt_trajectory", "build_graph", "build_task_grid", "config_distance",
+    "config_valid", "decompose", "decompose_mobile", "fallback_plan",
+    "finite_difference_max_jerk", "forward_kinematics", "generate_map",
+    "get_mapping", "gtsp_bruteforce", "home_config", "ik_solutions",
+    "intra_subspace_trajectory", "match_task", "motion_valid", "naive_sequence",
+    "plan_leg", "plan_visit_cost", "robotsp_sequence", "sequence", "solve_tsp",
+    "task_distance", "trajectory_metrics", "update", "verify_gha",
 ]

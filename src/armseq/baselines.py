@@ -16,8 +16,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .kinematics import ArmModel, TaskPoint, config_distance, ik_solutions, task_distance
-from .motion import (PlanningTimeoutError, SeedInvalidError, Trajectory,
-                     adapt_trajectory, fallback_plan)
+from .motion import Trajectory, plan_leg
 from .sequencer import (HOME, Leg, NoIkSolutionsError, SequencePlan,
                         _straight_leg, solve_tsp)
 from .world import Scene
@@ -53,17 +52,8 @@ class CostOracle:
             lo, hi = np.array(key[0]), np.array(key[1])
             pair_seed = zlib.crc32(np.array(key, dtype=float).tobytes())
             leg_seed = (self.rng_seed * 1_000_003 + pair_seed) % (2 ** 63)
-            seed = _straight_leg(lo, hi)
-            try:
-                traj = adapt_trajectory(seed, self.arm, self.scene, self.step,
-                                        rng_seed=leg_seed)
-            except SeedInvalidError:
-                try:
-                    traj = fallback_plan(lo, hi, self.arm, self.scene,
-                                         timeout=self.timeout, step=self.step,
-                                         rng_seed=leg_seed)
-                except PlanningTimeoutError:
-                    traj = None
+            traj = plan_leg(_straight_leg(lo, hi), self.arm, self.scene, self.step,
+                            leg_seed, self.timeout)
             cost = traj.length() if traj is not None else math.inf
             self._cache[key] = (cost, traj)
         cost, traj = self._cache[key]

@@ -15,7 +15,7 @@ from .baselines import CostOracle, plan_visit_cost
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
 from .render import render_decomposition_svg, render_plan_svg
 from .sequencer import SequencingParams, adapt_plan, sequence
-from .serialize import (SchemaError, artifact_from_dict, artifact_to_dict,
+from .serialize import (SchemaError, _pair, artifact_from_dict, artifact_to_dict,
                         dump_json, load_json, load_scenario, plan_from_dict,
                         plan_to_dict, jsonable)
 
@@ -47,11 +47,12 @@ def cmd_decompose(args) -> int:
 def cmd_sequence(args) -> int:
     dec, scenario = artifact_from_dict(load_json(args.artifact))
     tasks_data = load_json(args.tasks)
-    if "tasks" not in tasks_data or not isinstance(tasks_data["tasks"], list):
+    if not isinstance(tasks_data, dict) or not isinstance(tasks_data.get("tasks"), list):
         raise SchemaError("tasks.tasks: expected a list of [x, y] targets")
     from .kinematics import TaskPoint
 
-    tasks = [TaskPoint((float(t[0]), float(t[1]))) for t in tasks_data["tasks"]]
+    tasks = [TaskPoint(_pair(t, "tasks.tasks[%d]" % i))
+             for i, t in enumerate(tasks_data["tasks"])]
     extra = tasks_data.get("online_obstacles")
     scene = scenario.full_scene()
     if extra:

@@ -4,15 +4,17 @@ The engine searches for a small set of approximate isometries ("maps"), each a
 partial assignment of one IK solution per graph node such that assigned edges
 distort distance by less than epsilon between task space (d_T) and
 configuration space (d_C). Each map is grown by a modified Dijkstra search
-from a sampled root node; multiple iterations with an exploration penalty
-cover the graph, and a mobile-base variant runs the same search once per base
-pose and keeps the best.
+from a sampled root node. One loop, :func:`_cover`, repeats that search with
+an exploration penalty until the graph is covered; it runs over a list of
+candidate graphs, each with a budget of maps. :func:`decompose` gives it one
+graph, :func:`decompose_mobile` one graph per base pose with one map each.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -65,20 +67,6 @@ class DecompositionParams:
             raise ValueError("penalty weights must be nonnegative")
         if self.max_subspaces < 1 or self.root_sample_count < 1:
             raise ValueError("max_subspaces and root_sample_count must be >= 1")
-
-
-@dataclass(eq=False)
-class VisitCounts:
-    """Per-node count of how many completed iterations assigned the node."""
-
-    counts: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "VisitCounts":
-        return cls(np.zeros(n, dtype=int))
-
-    def omega(self, u: int) -> int:
-        return int(self.counts[u])
 
 
 @dataclass(eq=False)
@@ -142,22 +130,24 @@ def get_mapping(u: int, q_t, t: int, graph: TaskGraph, params: DecompositionPara
 
 
 def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
-           params: DecompositionParams, omega: VisitCounts | None = None,
-           q_avg0=None, iteration: int = 0) -> bool:
+           params: DecompositionParams, omega: Sequence[int] | None = None,
+           q_avg0=None) -> bool:
     """Relax the edge (u, t): assign/keep q_u and improve u's path cost.
 
-    The effective cost adds the revisit penalty rho * omega(u) and, from
-    iteration 1 on, the mean-proximity penalty rho_s * d_C(q_u, q_avg0).
-    Penalties enter path costs only; the edge itself was already screened
-    against the raw epsilon condition. Returns True when state changed.
-    Assignments made earlier in the same search are never overwritten.
+    The effective cost adds the revisit penalty rho * omega[u], where
+    ``omega`` counts per node how many accepted maps assigned it, and, once a
+    first map exists (``q_avg0`` is its mean configuration), the
+    mean-proximity penalty rho_s * d_C(q_u, q_avg0). Penalties enter path
+    costs only; the edge itself was already screened against the raw epsilon
+    condition. Returns True when state changed. Assignments made earlier in
+    the same search are never overwritten.
     """
     eff = l
     if omega is not None and params.rho:
-        eff += params.rho * omega.omega(u)
+        eff += params.rho * omega[u]
         if params.rho_both_endpoints:
-            eff += params.rho * omega.omega(t)
-    if iteration >= 1 and q_avg0 is not None and params.rho_s:
+            eff += params.rho * omega[t]
+    if q_avg0 is not None and params.rho_s:
         eff += params.rho_s * config_distance(q_u, q_avg0)
     cand = eff + g[t]
     if cand < g[u]:
@@ -171,7 +161,7 @@ def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
 
 
 def _search_from_root(graph: TaskGraph, root: int, q0, params: DecompositionParams,
-                      omega: VisitCounts | None, q_avg0, iteration: int):
+                      omega: Sequence[int] | None, q_avg0):
     """One Dijkstra-style sweep from (root, q0); returns (J, theta, parent, g)."""
     n = len(graph)
     g = np.full(n, params.c_max, dtype=float)
@@ -197,7 +187,7 @@ def _search_from_root(graph: TaskGraph, root: int, q0, params: DecompositionPara
                 if got is None:
                     continue
                 q_u, l = got
-            update(queue, g, theta, parent, u, t, q_u, l, params, omega, q_avg0, iteration)
+            update(queue, g, theta, parent, u, t, q_u, l, params, omega, q_avg0)
     J = float(g.sum() - g[root])
     return J, theta, parent, g
 
@@ -208,13 +198,12 @@ def _mean_config(theta: dict[int, np.ndarray]) -> np.ndarray:
 
 
 def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
-                 omega: VisitCounts | None = None, q_avg0=None,
-                 iteration: int = 0) -> tuple[float, GhaMap]:
+                 omega: Sequence[int] | None = None, q_avg0=None) -> tuple[float, GhaMap]:
     """Best map rooted at ``root``: minimum objective over the root's IK candidates.
 
     The objective J is the sum over non-root nodes of their final path cost;
-    nodes left unassigned contribute ``c_max``. Root candidates farther than
-    ``zeta`` from ``q_avg0`` are skipped (only meaningful from iteration 1 on).
+    nodes left unassigned contribute ``c_max``. When ``q_avg0`` is given,
+    root candidates at distance ``zeta`` or more from it are skipped.
     Ties keep the earlier candidate.
     """
     candidates = graph.ik_sets[root]
@@ -225,7 +214,7 @@ def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
         if (q_avg0 is not None and params.zeta is not None
                 and config_distance(q0, q_avg0) >= params.zeta):
             continue
-        J, theta, parent, _ = _search_from_root(graph, root, q0, params, omega, q_avg0, iteration)
+        J, theta, parent, _ = _search_from_root(graph, root, q0, params, omega, q_avg0)
         if best is None or J < best[0]:
             best = (J, theta, parent, q0)
     if best is None:
@@ -243,69 +232,83 @@ def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
     return J, m
 
 
-def decompose(graph: TaskGraph, params: DecompositionParams) -> Decomposition:
-    """Cover the graph with maps: sample roots, keep the best map, repeat.
+def _cover(graphs: list[TaskGraph], params: DecompositionParams,
+           budget: list[int]) -> tuple[list[tuple[int, GhaMap]], float]:
+    """The map search: sample roots, keep the best map, repeat.
 
+    Coverage and visit counts are kept per task position, across all graphs.
     Each iteration samples ``root_sample_count`` roots uniformly (seeded) from
-    the still-open nodes, keeps the candidate map with minimal objective,
-    removes its nodes from the open set and increments their visit counts.
-    Stops when the open set empties, ``max_subspaces`` is reached, or an
-    iteration assigns nothing new (reported as :class:`NoProgressWarning`).
+    the open nodes of every graph whose ``budget`` (maps it may still give)
+    is positive, in graph order, and keeps the map of minimal objective over
+    all of them (ties keep the earlier one). Its positions leave the open set
+    and their visit counts grow by one. Stops when the open set empties, the
+    budgets or ``max_subspaces`` run out, or an iteration assigns nothing new
+    (reported as :class:`NoProgressWarning`). Returns the (graph index, map)
+    pairs in discovery order and the covered share of positions.
     """
+    budget = list(budget)
+    visits = {p.position: 0 for g in graphs for p in g.nodes}
+    open_pos = set(visits)
+    rng = np.random.default_rng(params.rng_seed)
+    found: list[tuple[int, GhaMap]] = []
+    q_avg0 = None
+    while open_pos and any(budget) and len(found) < params.max_subspaces:
+        best = None
+        for gi, g in enumerate(graphs):
+            if budget[gi] < 1:
+                continue
+            open_nodes = [i for i, p in enumerate(g.nodes) if p.position in open_pos]
+            if not open_nodes:
+                continue
+            k = min(params.root_sample_count, len(open_nodes))
+            picks = rng.choice(len(open_nodes), size=k, replace=False)
+            omega = [visits[p.position] for p in g.nodes]
+            for pick in picks:
+                try:
+                    J, m = generate_map(g, open_nodes[int(pick)], params, omega, q_avg0)
+                except NoFeasibleRootError:
+                    continue
+                if best is None or J < best[0]:
+                    best = (J, gi, m)
+        positions = set()
+        if best is not None:
+            _, gi, m = best
+            positions = {graphs[gi].nodes[i].position for i in m.assignment}
+        if not positions & open_pos:
+            warnings.warn(NoProgressWarning(
+                "iteration %d assigned no new nodes; stopping at coverage %.3f"
+                % (len(found), 1.0 - len(open_pos) / len(visits))))
+            break
+        open_pos -= positions
+        for p in positions:
+            visits[p] += 1
+        budget[gi] -= 1
+        found.append((gi, m))
+        if q_avg0 is None:
+            q_avg0 = m.mean_config
+    return found, (len(visits) - len(open_pos)) / len(visits)
+
+
+def decompose(graph: TaskGraph, params: DecompositionParams) -> Decomposition:
+    """Cover one task graph with up to ``max_subspaces`` maps (see :func:`_cover`)."""
     if len(graph) == 0:
         raise EmptyGraphError("cannot decompose an empty task graph")
     if graph.connection_radius > params.epsilon:
         raise ValueError(
             "connection radius %.6g exceeds epsilon %.6g; the one-sided edge filter "
             "would not bound distortion both ways" % (graph.connection_radius, params.epsilon))
-    rng = np.random.default_rng(params.rng_seed)
-    n = len(graph)
-    open_set = set(range(n))
-    omega = VisitCounts.zeros(n)
-    maps: list[GhaMap] = []
-    q_avg0 = None
-    iteration = 0
-    while open_set and len(maps) < params.max_subspaces:
-        open_sorted = sorted(open_set)
-        k = min(params.root_sample_count, len(open_sorted))
-        picks = rng.choice(len(open_sorted), size=k, replace=False)
-        roots = [open_sorted[int(i)] for i in picks]
-        best = None
-        for root in roots:
-            try:
-                J, m = generate_map(graph, root, params, omega, q_avg0, iteration)
-            except NoFeasibleRootError:
-                continue
-            if best is None or J < best[0]:
-                best = (J, m)
-        newly = set(best[1].assignment) & open_set if best else set()
-        if not newly:
-            warnings.warn(NoProgressWarning(
-                "iteration %d assigned no new nodes; stopping at coverage %.3f"
-                % (iteration, 1.0 - len(open_set) / n)))
-            break
-        _, m = best
-        open_set -= newly
-        omega.counts[m.assigned_nodes()] += 1
-        maps.append(m)
-        if iteration == 0:
-            q_avg0 = m.mean_config
-        iteration += 1
-    covered = set()
-    for m in maps:
-        covered |= set(m.assignment)
-    return Decomposition(maps, graph, params, coverage=len(covered) / n)
+    found, coverage = _cover([graph], params, [params.max_subspaces])
+    return Decomposition([m for _, m in found], graph, params, coverage=coverage)
 
 
 def decompose_mobile(grid_region, spacing: float, connection_radius: float,
                      base_poses, arm, scene, params: DecompositionParams,
                      edge_check_count: int = 5) -> Decomposition:
-    """Mobile-base decomposition: one task graph per base pose, best base per iteration.
+    """Mobile-base decomposition: one task graph per base pose, one map per base.
 
-    Every not-yet-used base pose runs the same root-sampled map search each
-    iteration; the globally best map claims its base pose, which is then
-    removed from the candidates. Stops when bases are exhausted, the open set
-    empties, or ``max_subspaces`` is reached.
+    Runs the map search of :func:`_cover` over all base poses at once: each
+    iteration samples roots on every base pose that has no map yet, and the
+    globally best map claims its base pose.
     """
     from .kinematics import TaskPoint
     from .taskgraph import build_graph, build_task_grid
@@ -322,59 +325,13 @@ def decompose_mobile(grid_region, spacing: float, connection_radius: float,
         pts = [TaskPoint(p.position, base_index=bi) for p in points]
         graphs.append(build_graph(pts, connection_radius, arm.at_base(bp), scene,
                                   edge_check_count))
-    all_positions = set()
-    for g in graphs:
-        all_positions |= {p.position for p in g.nodes}
-    if not all_positions:
+    if not any(g.nodes for g in graphs):
         raise EmptyGraphError("no grid point is reachable from any base pose")
-    rng = np.random.default_rng(params.rng_seed)
-    open_pos = set(all_positions)
-    visit_by_pos: dict[tuple[float, float], int] = {p: 0 for p in all_positions}
-    unused = set(range(len(base_poses)))
-    maps: list[GhaMap] = []
-    q_avg0 = None
-    iteration = 0
-    while open_pos and unused and len(maps) < params.max_subspaces:
-        best = None
-        for bi in sorted(unused):
-            g = graphs[bi]
-            open_nodes = [i for i, p in enumerate(g.nodes) if p.position in open_pos]
-            if not open_nodes:
-                continue
-            k = min(params.root_sample_count, len(open_nodes))
-            picks = rng.choice(len(open_nodes), size=k, replace=False)
-            omega = VisitCounts(np.array([visit_by_pos[p.position] for p in g.nodes], dtype=int))
-            for pick in picks:
-                root = open_nodes[int(pick)]
-                try:
-                    J, m = generate_map(g, root, params, omega, q_avg0, iteration)
-                except NoFeasibleRootError:
-                    continue
-                if best is None or J < best[0]:
-                    best = (J, m, bi)
-        if best is None:
-            warnings.warn(NoProgressWarning("iteration %d produced no candidate map" % iteration))
-            break
-        _, m, bi = best
+    found, coverage = _cover(graphs, params, [1] * len(graphs))
+    for bi, m in found:
         m.base_pose = base_poses[bi]
         m.base_index = bi
-        positions = {graphs[bi].nodes[i].position for i in m.assignment}
-        newly = positions & open_pos
-        if not newly:
-            warnings.warn(NoProgressWarning("iteration %d assigned no new nodes" % iteration))
-            break
-        open_pos -= newly
-        for p in positions:
-            visit_by_pos[p] += 1
-        unused.discard(bi)
-        maps.append(m)
-        if iteration == 0:
-            q_avg0 = m.mean_config
-        iteration += 1
-    covered = set()
-    for m in maps:
-        covered |= {graphs[m.base_index].nodes[i].position for i in m.assignment}
-    return Decomposition(maps, None, params, coverage=len(covered) / len(all_positions),
+    return Decomposition([m for _, m in found], None, params, coverage=coverage,
                          base_graphs=graphs, base_poses=base_poses)
 
 
@@ -441,8 +398,14 @@ def verify_gha(m: GhaMap, graph: TaskGraph, epsilon: float,
     pairs joined by an N-hop tree path, |d_C of the endpoint images - the
     path-summed d_T| < N * epsilon; (c) for sampled graph geodesics of N
     segments, the endpoint image distance differs from the summed image
-    segment lengths by at most (N + 1) * epsilon. All three lists are empty
-    for any map produced by the search in this module.
+    segment lengths by at most (N + 1) * epsilon.
+
+    The search in this module screens the edges it accepts into the tree, so
+    (a) holds for every map it produces. (b) is not implied: the triangle
+    inequality gives its upper side from (a), but nothing bounds d_C of the
+    endpoints from below. (c) is not implied either: geodesics may run over
+    graph edges outside the tree, whose d_C the search never bounds, and
+    searched maps of 3-link task graphs have been seen to fail it.
     """
     report = GhaVerification()
     theta = m.assignment

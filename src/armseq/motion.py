@@ -5,6 +5,7 @@ Seeds (subspace paths or straight lines) run through the same adaptor:
 subdivide, repair locally if colliding, randomly shortcut, then greedily
 straighten. When a seed cannot be repaired the bidirectional sampling planner
 takes over; its timeout is the only way a leg can fail outright.
+:func:`plan_leg` is that cascade, the one place every leg is planned.
 """
 
 from __future__ import annotations
@@ -253,6 +254,24 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
                 return Trajectory(wps, source=SOURCE_FALLBACK)
         a = 1 - a
     raise PlanningTimeoutError("no path found within %.3f s" % timeout)
+
+
+def plan_leg(seed: Trajectory, arm: ArmModel, scene: Scene, step: float = 0.05,
+             rng_seed: int = 0, timeout: float = 2.0) -> Trajectory | None:
+    """Plan one leg: adapt ``seed``, else plan between its endpoints from scratch.
+
+    Both stages draw from the same ``rng_seed``. Returns None when the seed
+    cannot be repaired and the fallback planner times out.
+    """
+    try:
+        return adapt_trajectory(seed, arm, scene, step, rng_seed=rng_seed)
+    except SeedInvalidError:
+        pass
+    try:
+        return fallback_plan(seed.waypoints[0], seed.waypoints[-1], arm, scene,
+                             timeout=timeout, step=step, rng_seed=rng_seed)
+    except PlanningTimeoutError:
+        return None
 
 
 def finite_difference_max_jerk(samples: np.ndarray, dt: float) -> float:

@@ -15,9 +15,8 @@ import numpy as np
 
 from .decomposition import Decomposition, GhaMap
 from .kinematics import ArmModel, TaskPoint, config_distance, ik_solutions
-from .motion import (SOURCE_STRAIGHT, SOURCE_SUBSPACE, PlanningTimeoutError,
-                     SeedInvalidError, Trajectory, adapt_trajectory,
-                     fallback_plan, trajectory_metrics)
+from .motion import (SOURCE_STRAIGHT, SOURCE_SUBSPACE, Trajectory, plan_leg,
+                     trajectory_metrics)
 from .taskgraph import TaskGraph
 from .world import Scene
 
@@ -403,19 +402,10 @@ def adapt_plan(plan: SequencePlan, arm: ArmModel, scene: Scene, step: float = 0.
         seed_traj = leg.trajectory
         if straight_seeds and len(seed_traj.waypoints) > 2:
             seed_traj = _straight_leg(seed_traj.waypoints[0], seed_traj.waypoints[-1])
-        leg_seed = rng_seed * 1_000_003 + li
-        try:
-            adapted = adapt_trajectory(seed_traj, arm, scene, step, rng_seed=leg_seed)
-            ok = True
-        except SeedInvalidError:
-            try:
-                adapted = fallback_plan(seed_traj.waypoints[0], seed_traj.waypoints[-1],
-                                        arm, scene, timeout=timeout, step=step,
-                                        rng_seed=leg_seed)
-                ok = True
-            except PlanningTimeoutError:
-                adapted = seed_traj
-                ok = False
+        adapted = plan_leg(seed_traj, arm, scene, step, rng_seed * 1_000_003 + li, timeout)
+        ok = adapted is not None
+        if not ok:
+            adapted = seed_traj
         metrics = trajectory_metrics(adapted, arm, dt, scene, step) if ok else None
         new_legs.append(Leg(leg.from_label, leg.to_label, adapted, leg.map_index,
                             valid=ok, metrics=metrics))

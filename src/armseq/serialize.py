@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -40,8 +41,10 @@ def _req(mapping, key, kind, path):
 
 
 def _pair(value, path):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SchemaError("%s: expected a pair [x, y]" % path)
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max for v in value)):
+        raise SchemaError("%s: expected a pair [x, y] of finite numbers" % path)
     return float(value[0]), float(value[1])
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from armseq import (DecompositionParams, EmptyGraphError, GhaMap,
                     NoFeasibleRootError, NoProgressWarning, Scene, TaskGraph,
-                    TaskPoint, VisitCounts, config_distance, decompose,
+                    TaskPoint, config_distance, decompose,
                     decompose_mobile, generate_map, get_mapping, update,
                     verify_gha)
 from armseq.serialize import map_to_dict
@@ -77,7 +77,7 @@ def test_update_assigns_fresh_node():
 def test_update_exploration_penalty():
     g = np.array([0.0, 5.0])
     theta = {0: np.array([0.0])}
-    omega = VisitCounts(np.array([0, 1]))
+    omega = np.array([0, 1])
     queue = []
     update(queue, g, theta, {}, 1, 0, np.array([0.3]), 0.3,
            params(rho=2.0), omega=omega)
@@ -89,11 +89,11 @@ def test_update_mean_proximity_penalty_from_iteration_one():
     q_avg0 = np.array([1.0])
     g0 = np.array([0.0, 5.0])
     update([], g0, dict(theta), {}, 1, 0, np.array([0.5]), 0.5,
-           params(rho_s=0.02), q_avg0=q_avg0, iteration=0)
-    assert g0[1] == pytest.approx(0.5)  # no penalty in the first iteration
+           params(rho_s=0.02), q_avg0=None)
+    assert g0[1] == pytest.approx(0.5)  # no first map yet (iteration 0): no penalty
     g1 = np.array([0.0, 5.0])
     update([], g1, dict(theta), {}, 1, 0, np.array([0.5]), 0.5,
-           params(rho_s=0.02), q_avg0=q_avg0, iteration=1)
+           params(rho_s=0.02), q_avg0=q_avg0)
     assert g1[1] == pytest.approx(0.5 + 0.02 * 0.5)
 
 
@@ -142,7 +142,7 @@ def test_root_candidate_argmin():
 def test_zeta_filters_all_roots():
     g = make_graph([(0.0, 0.0)], [[[0.0]]], [])
     with pytest.raises(NoFeasibleRootError):
-        generate_map(g, 0, params(zeta=0.1), q_avg0=np.array([2.0]), iteration=1)
+        generate_map(g, 0, params(zeta=0.1), q_avg0=np.array([2.0]))
 
 
 def test_assignment_stable_but_parent_edge_improves():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from armseq import (ArmModel, Box, PlanningTimeoutError, Scene,
-                    SeedInvalidError, Trajectory, adapt_trajectory,
-                    config_distance, fallback_plan, finite_difference_max_jerk,
-                    motion_valid, trajectory_metrics)
+from armseq import (HOME, ArmModel, Box, CostOracle, Leg, PlanningTimeoutError,
+                    Scene, SeedInvalidError, SequencePlan, Trajectory, adapt_plan,
+                    adapt_trajectory, config_distance, fallback_plan,
+                    finite_difference_max_jerk, motion_valid, plan_leg,
+                    trajectory_metrics)
 from armseq.motion import SOURCE_ADAPTED, SOURCE_FALLBACK
 
 
@@ -143,6 +144,41 @@ def test_fallback_deterministic(arm2):
     assert len(o1.waypoints) == len(o2.waypoints)
     for x, y in zip(o1.waypoints, o2.waypoints):
         assert np.array_equal(x, y)
+
+
+# -------------------------------------------------------------- leg cascade
+# The walled-off scene of test_fallback_timeout_on_disconnected_component: no
+# path joins OUTSIDE to INSIDE, so that leg is unplannable on any host.
+
+WALLED = Scene((Box(0.2, 0.2, 0.5, 0.5), Box(0.2, -0.5, 0.5, -0.2)))
+OUTSIDE = np.array([math.pi, 0.0])
+INSIDE = np.array([0.0, 0.0])
+
+
+def test_plan_leg_unplannable_returns_none(arm2):
+    assert plan_leg(Trajectory([OUTSIDE, INSIDE]), arm2, WALLED, timeout=0.4) is None
+
+
+def test_adapt_plan_marks_unplannable_leg_invalid(arm2):
+    beside = np.array([math.pi, 0.5])
+    seeds = [Trajectory([OUTSIDE, beside]), Trajectory([beside, INSIDE])]
+    plan = SequencePlan([Leg(HOME, 0, seeds[0]), Leg(0, 1, seeds[1])],
+                        [HOME, 0, 1], [OUTSIDE, beside, INSIDE], 0.0)
+    out = adapt_plan(plan, arm2, WALLED, timeout=0.4)
+    ok, failed = out.legs
+    assert ok.valid and ok.metrics is not None
+    assert failed.valid is False and failed.metrics is None
+    assert out.failed_legs() == [1]
+    for x, y in zip(failed.trajectory.waypoints, seeds[1].waypoints, strict=True):
+        assert np.array_equal(x, y)
+    assert out.total_config_cost == ok.trajectory.length()
+
+
+def test_cost_oracle_unplannable_leg_costs_inf(arm2):
+    oracle = CostOracle(arm2, WALLED, timeout=0.4)
+    assert oracle.cost(OUTSIDE, INSIDE) == math.inf
+    assert oracle.cost(INSIDE, OUTSIDE) == math.inf
+    assert oracle.leg(OUTSIDE, INSIDE)[1] is None
 
 
 # ----------------------------------------------------------------------- metrics

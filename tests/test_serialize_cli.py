@@ -238,6 +238,19 @@ def test_cli_input_errors(workdir, capsys):
     assert main(["verify", "--artifact", str(workdir / "missing.json")]) == 1
 
 
+@pytest.mark.parametrize("task", ['["x", 1]', "[1.0]", "[NaN, 0.5]", "[0.5, Infinity]",
+                                  "[true, 0.5]", "0.5",
+                                  pytest.param("[1%s, 0.5]" % ("0" * 400), id="[1e400, 0.5]")])
+def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, task):
+    tasks = workdir / "tasks_malformed.json"
+    tasks.write_text('{"tasks": [%s]}' % task)
+    assert main(["sequence", "--artifact", str(artifact_path), "--tasks", str(tasks),
+                 "--out", str(workdir / "plan_malformed.json")]) == 1
+    err = capsys.readouterr().err
+    assert "input error: tasks.tasks[0]" in err
+    assert "Traceback" not in err
+
+
 def test_cli_seed_override_changes_artifact(workdir):
     out1 = workdir / "a1.json"
     out2 = workdir / "a2.json"
@@ -297,18 +310,18 @@ def test_bench_interrupt_flushes_partial(workdir, monkeypatch):
 def test_update_penalty_on_both_endpoints():
     import numpy as np
 
-    from armseq import DecompositionParams, VisitCounts, update
+    from armseq import DecompositionParams, update
 
     params = DecompositionParams(epsilon=1.0, rho=2.0, rho_both_endpoints=True)
     g = np.array([0.0, 5.0])
     theta = {0: np.array([0.0])}
-    omega = VisitCounts(np.array([1, 1]))
+    omega = np.array([1, 1])
     update([], g, theta, {}, 1, 0, np.array([0.3]), 0.3, params, omega=omega)
     # l' = 0.3 + rho * omega(u) + rho * omega(t) = 0.3 + 2 + 2
     assert g[1] == pytest.approx(4.3)
     # with a larger source count the candidate exceeds c_max and is declined
     g2 = np.array([0.0, 5.0])
-    omega2 = VisitCounts(np.array([3, 1]))
+    omega2 = np.array([3, 1])
     update([], g2, {0: np.array([0.0])}, {}, 1, 0, np.array([0.3]), 0.3,
            params, omega=omega2)
     assert g2[1] == 5.0
