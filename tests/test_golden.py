@@ -2,7 +2,8 @@
 
 For every shipped scenario the decomposition artifact written by
 ``armseq decompose`` and the plan record written by ``armseq sequence`` for a
-fixed 6-task mission must hash to the digests below. A refactor that claims
+fixed 6-task mission must hash to the digests below, and so must the report
+of a reduced ``armseq bench`` sweep for two of them. A refactor that claims
 to keep behaviour keeps these digests; a change that alters outputs on
 purpose updates them and explains the difference.
 """
@@ -57,3 +58,23 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path, capsys):
                  "--out", str(plan)]) == 0
     assert _sha256(artifact) == artifact_sha
     assert _sha256(plan) == plan_sha
+
+
+# scenario -> bench report sha256 for a one-trial sweep over 3 and 8 tasks; the
+# baselines' 9-node task-space tours run through the exact TSP solver
+GOLDEN_BENCH = {
+    "rail_mobile": "29fca67a1c75060a92116cb854e27bce9754b3cb27363cd1ef3acfec1096fc40",
+    "tabletop_single_box": "faa60a0fba4681f45e769c3e425205c7ff71310664c3fa5986a6d1030a1a935c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BENCH))
+def test_cli_bench_report_matches_pinned_digest(name, tmp_path, capsys):
+    data = json.loads((SCENARIOS / (name + ".json")).read_text())
+    data["bench"] = {"task_counts": [3, 8], "trials": 1}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    report = tmp_path / "report.json"
+    assert main(["bench", "--scenario", str(scenario), "--out", str(report),
+                 "--format", "json"]) == 0
+    assert _sha256(report) == GOLDEN_BENCH[name]
