@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .kinematics import config_distance
+from .kinematics import config_distance, task_distance
 from .taskgraph import TaskGraph
 
 
@@ -438,10 +438,10 @@ def verify_gha(m: GhaMap, graph: TaskGraph, epsilon: float,
     while report.geodesics_checked < geodesic_samples and attempts < geodesic_samples * 20:
         attempts += 1
         a, b = (nodes[int(i)] for i in rng.choice(len(nodes), size=2, replace=False))
-        path, total = _shortest_dt_path(graph, assigned, a, b)
+        path, total = graph.shortest_path(a, b, assigned, lambda u, v, d_t: d_t)
         if path is None or len(path) < 2:
             continue
-        direct = task_distance_between(graph, a, b)
+        direct = task_distance(graph.nodes[a], graph.nodes[b])
         if abs(total - direct) > 1e-9:
             continue
         segs = len(path) - 1
@@ -452,34 +452,3 @@ def verify_gha(m: GhaMap, graph: TaskGraph, epsilon: float,
             report.geodesic_bound_violations.append((a, b, segs, d_c, image_sum))
     return report
 
-
-def task_distance_between(graph: TaskGraph, a: int, b: int) -> float:
-    pa, pb = graph.nodes[a].position, graph.nodes[b].position
-    return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-
-
-def _shortest_dt_path(graph: TaskGraph, allowed: set[int], a: int, b: int):
-    """Dijkstra by d_T over the subgraph induced by ``allowed``."""
-    dist = {a: 0.0}
-    prev: dict[int, int] = {}
-    queue = [(0.0, a)]
-    while queue:
-        d, u = heappop(queue)
-        if d != dist.get(u):
-            continue
-        if u == b:
-            break
-        for v, w in graph.neighbors(u):
-            if v not in allowed:
-                continue
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = u
-                heappush(queue, (nd, v))
-    if b not in dist:
-        return None, math.inf
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1], dist[b]

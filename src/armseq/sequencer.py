@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -133,38 +132,19 @@ def intra_subspace_trajectory(m: GhaMap, graph: TaskGraph, match_a: TaskMatch,
                               match_b: TaskMatch) -> Trajectory:
     """Seed trajectory between two matches of the same map.
 
-    Dijkstra over graph edges whose endpoints are both assigned, weighted by
-    d_C of the assigned configurations; the matched task configurations are
+    Shortest path over graph edges whose endpoints are both assigned, weighted
+    by d_C of the assigned configurations; the matched task configurations are
     prepended/appended to the configuration path.
     """
     if match_a.map_index != match_b.map_index:
         raise ValueError("matches reference different maps")
     assigned = m.assignment
     start, goal = match_a.matched_node, match_b.matched_node
-    dist = {start: 0.0}
-    prev: dict[int, int] = {}
-    queue = [(0.0, start)]
-    while queue:
-        d, u = heappop(queue)
-        if d != dist.get(u):
-            continue
-        if u == goal:
-            break
-        for v, _ in graph.neighbors(u):
-            if v not in assigned:
-                continue
-            nd = d + config_distance(assigned[u], assigned[v])
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                prev[v] = u
-                heappush(queue, (nd, v))
-    if goal not in dist:
+    path, _ = graph.shortest_path(
+        start, goal, assigned, lambda u, v, _: config_distance(assigned[u], assigned[v]))
+    if path is None:
         raise DisconnectedError("nodes %d and %d are disconnected within the map"
                                 % (start, goal))
-    path = [goal]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
     wps = [match_a.task_config] + [assigned[n] for n in path] + [match_b.task_config]
     return Trajectory(wps, source=SOURCE_SUBSPACE)
 
@@ -196,47 +176,32 @@ def closed_tour_cost(weights: np.ndarray, order) -> float:
 
 
 def _held_karp(weights: np.ndarray, anchor: int) -> list[int]:
-    n = len(weights)
-    others = [i for i in range(n) if i != anchor]
+    others = [i for i in range(len(weights)) if i != anchor]
     m = len(others)
-    full = (1 << m) - 1
-    # dp[mask][j]: best cost of a path anchor -> ... -> others[j] covering mask
-    dp = [dict() for _ in range(1 << m)]
-    back = [dict() for _ in range(1 << m)]
-    for j in range(m):
-        dp[1 << j][j] = weights[anchor][others[j]]
-        back[1 << j][j] = -1
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        if not row:
-            continue
-        for j, cost in row.items():
-            wj = others[j]
-            rest = full & ~mask
-            nxt = rest
-            while nxt:
-                b = nxt & (-nxt)
-                nxt ^= b
-                k = b.bit_length() - 1
-                nm = mask | b
-                cand = cost + weights[wj][others[k]]
-                if cand < dp[nm].get(k, math.inf):
-                    dp[nm][k] = cand
-                    back[nm][k] = j
-    best_j = None
-    best_cost = math.inf
-    for j in range(m):
-        cand = dp[full].get(j, math.inf) + weights[others[j]][anchor]
-        if cand < best_cost:
-            best_cost = cand
-            best_j = j
+    Wt = weights[np.ix_(others, others)].T  # Wt[k, j]: cost of others[j] -> others[k]
+    # dp[mask, j]: best cost of a path anchor -> ... -> others[j] covering mask;
+    # back[mask, j]: the index before j on that path (-1 for the anchor)
+    dp = np.full((1 << m, m), math.inf)
+    back = np.full((1 << m, m), -1)
+    dp[1 << np.arange(m), np.arange(m)] = weights[anchor, others]
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1
+    size = bits.sum(axis=1)
+    for s in range(2, m + 1):
+        masks, ks = np.nonzero(bits & (size == s)[:, None])
+        # chunks of at most 2^m (mask, k) pairs keep cand no larger than dp
+        for c in range(0, len(masks), 1 << m):
+            mask, k = masks[c:c + (1 << m)], ks[c:c + (1 << m)]
+            cand = dp[mask ^ (1 << k)] + Wt[k]
+            # ties keep the highest predecessor j
+            back[mask, k] = m - 1 - np.argmin(cand[:, ::-1], axis=1)
+            dp[mask, k] = cand.min(axis=1)
+    # ties keep the lowest last j
+    j = int(np.argmin(dp[-1] + weights[others, anchor]))
     order = []
-    mask, j = full, best_j
+    mask = (1 << m) - 1
     while j != -1:
         order.append(others[j])
-        pj = back[mask][j]
-        mask &= ~(1 << j)
-        j = pj
+        mask, j = mask ^ (1 << j), int(back[mask, j])
     order.reverse()
     return [anchor] + order
 

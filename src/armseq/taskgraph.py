@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -61,6 +62,38 @@ class TaskGraph:
 
     def neighbors(self, i: int) -> list[tuple[int, float]]:
         return self.adjacency[i]
+
+    def shortest_path(self, a: int, b: int, allowed, weight):
+        """Dijkstra from ``a`` to ``b`` over the subgraph induced by ``allowed``.
+
+        ``weight(u, v, d_t)`` prices the edge (u, v) whose task distance is
+        d_t. Returns (path, length), or (None, inf) when ``b`` is unreachable.
+        Heap ties pop the lower node, and a node keeps the first predecessor
+        that reaches it at its final length.
+        """
+        dist = {a: 0.0}
+        prev: dict[int, int] = {}
+        queue = [(0.0, a)]
+        while queue:
+            d, u = heappop(queue)
+            if d != dist[u]:
+                continue  # stale heap entry
+            if u == b:
+                break
+            for v, d_t in self.adjacency[u]:
+                if v not in allowed:
+                    continue
+                nd = d + weight(u, v, d_t)
+                if nd < dist.get(v, math.inf):
+                    dist[v] = nd
+                    prev[v] = u
+                    heappush(queue, (nd, v))
+        if b not in dist:
+            return None, math.inf
+        path = [b]
+        while path[-1] != a:
+            path.append(prev[path[-1]])
+        return path[::-1], dist[b]
 
     def positions(self) -> np.ndarray:
         return np.array([p.position for p in self.nodes], dtype=float)
