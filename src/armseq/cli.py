@@ -11,13 +11,12 @@ import argparse
 import sys
 import time
 
-from .baselines import CostOracle, plan_visit_cost
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
 from .render import render_decomposition_svg, render_plan_svg
 from .sequencer import SequencingParams, adapt_plan, sequence
 from .serialize import (SchemaError, _pair, artifact_from_dict, artifact_to_dict,
                         dump_json, load_json, load_scenario, plan_from_dict,
-                        plan_to_dict, jsonable)
+                        plan_to_dict)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -68,12 +67,7 @@ def cmd_sequence(args) -> int:
     adapted = adapt_plan(plan, scenario.arm, scene, scenario.step, rng_seed=seed,
                          timeout=scenario.timeout, dt=scenario.dt)
     motion_s = time.perf_counter() - t0
-    oracle = CostOracle(scenario.arm, scene, scenario.step, rng_seed=seed,
-                        timeout=scenario.timeout)
-    record = plan_to_dict(adapted, extra={
-        "oracle_cost": jsonable(plan_visit_cost(adapted, oracle)) if tasks else 0.0,
-    })
-    dump_json(record, args.out)
+    dump_json(plan_to_dict(adapted), args.out)
     dump_json({"kind": "plan_timings", "sequencing_s": sequencing_s,
                "motion_planning_s": motion_s}, args.out + ".timings.json")
     failed = adapted.failed_legs()

@@ -55,10 +55,6 @@ class DecompositionParams:
     max_subspaces: int = 5
     root_sample_count: int = 10
     rng_seed: int = 0
-    # by default the revisit penalty is charged on the relaxed edge's target
-    # node only, keeping root expansion unpenalized; this flag also charges
-    # the source node's count
-    rho_both_endpoints: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0 or self.c_max <= 0:
@@ -135,7 +131,8 @@ def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
     """Relax the edge (u, t): assign/keep q_u and improve u's path cost.
 
     The effective cost adds the revisit penalty rho * omega[u], where
-    ``omega`` counts per node how many accepted maps assigned it, and, once a
+    ``omega`` counts per node how many accepted maps assigned it (charged on
+    the target u only, so expanding the root is never penalized), and, once a
     first map exists (``q_avg0`` is its mean configuration), the
     mean-proximity penalty rho_s * d_C(q_u, q_avg0). Penalties enter path
     costs only; the edge itself was already screened against the raw epsilon
@@ -145,8 +142,6 @@ def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
     eff = l
     if omega is not None and params.rho:
         eff += params.rho * omega[u]
-        if params.rho_both_endpoints:
-            eff += params.rho * omega[t]
     if q_avg0 is not None and params.rho_s:
         eff += params.rho_s * config_distance(q_u, q_avg0)
     cand = eff + g[t]

@@ -141,7 +141,7 @@ def intra_subspace_trajectory(m: GhaMap, graph: TaskGraph, match_a: TaskMatch,
     assigned = m.assignment
     start, goal = match_a.matched_node, match_b.matched_node
     path, _ = graph.shortest_path(
-        start, goal, assigned, lambda u, v, _: config_distance(assigned[u], assigned[v]))
+        start, goal, assigned, lambda u, v, d_t: config_distance(assigned[u], assigned[v]))
     if path is None:
         raise DisconnectedError("nodes %d and %d are disconnected within the map"
                                 % (start, goal))

@@ -27,25 +27,37 @@ class SchemaError(ValueError):
     """Input file violates the expected schema; message carries the JSON path."""
 
 
-def _req(mapping, key, kind, path):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SchemaError("%s.%s: missing required field" % (path, key))
-    value = mapping[key]
+def _field(value, kind, path):
+    """``value`` checked against ``kind``: an int is no bool, a float is finite."""
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError("%s.%s: expected a number" % (path, key))
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not abs(value) <= sys.float_info.max):
+            raise SchemaError("%s: expected a finite number" % path)
         return float(value)
-    if not isinstance(value, kind):
-        raise SchemaError("%s.%s: expected %s" % (path, key, kind.__name__))
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError("%s: expected %s" % (path, kind.__name__))
     return value
 
 
+def _req(mapping, key, kind, path):
+    if not isinstance(mapping, dict) or key not in mapping:
+        raise SchemaError("%s.%s: missing required field" % (path, key))
+    return _field(mapping[key], kind, "%s.%s" % (path, key))
+
+
+def _opt(mapping, key, kind, default, path):
+    """Like :func:`_req`, but an absent field gives ``default``."""
+    if not isinstance(mapping, dict):
+        raise SchemaError("%s: expected an object" % path)
+    if key not in mapping:
+        return default
+    return _field(mapping[key], kind, "%s.%s" % (path, key))
+
+
 def _pair(value, path):
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       and abs(v) <= sys.float_info.max for v in value)):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError("%s: expected a pair [x, y] of finite numbers" % path)
-    return float(value[0]), float(value[1])
+    return _field(value[0], float, path + "[0]"), _field(value[1], float, path + "[1]")
 
 
 def dump_json(obj, path) -> None:
@@ -133,18 +145,22 @@ def arm_to_dict(arm: ArmModel) -> dict:
 
 
 def params_from_dict(d, path="decomposition") -> DecompositionParams:
+    if d.get("rho_both_endpoints"):
+        raise SchemaError("%s.rho_both_endpoints: no longer supported; the revisit "
+                          "penalty is charged on the relaxed edge's target only" % path)
+    zeta = d.get("zeta")
+    fields = dict(
+        epsilon=_req(d, "epsilon", float, path),
+        c_max=_opt(d, "c_max", float, 5.0, path),
+        rho=_opt(d, "rho", float, 2.0, path),
+        rho_s=_opt(d, "rho_s", float, 0.02, path),
+        zeta=None if zeta is None else _field(zeta, float, path + ".zeta"),
+        max_subspaces=_opt(d, "max_subspaces", int, 5, path),
+        root_sample_count=_opt(d, "root_sample_count", int, 10, path),
+        rng_seed=_opt(d, "rng_seed", int, 0, path),
+    )
     try:
-        return DecompositionParams(
-            epsilon=_req(d, "epsilon", float, path),
-            c_max=float(d.get("c_max", 5.0)),
-            rho=float(d.get("rho", 2.0)),
-            rho_s=float(d.get("rho_s", 0.02)),
-            zeta=None if d.get("zeta") is None else float(d["zeta"]),
-            max_subspaces=int(d.get("max_subspaces", 5)),
-            root_sample_count=int(d.get("root_sample_count", 10)),
-            rng_seed=int(d.get("rng_seed", 0)),
-            rho_both_endpoints=bool(d.get("rho_both_endpoints", False)),
-        )
+        return DecompositionParams(**fields)
     except ValueError as exc:
         raise SchemaError("%s: %s" % (path, exc)) from exc
 
@@ -154,7 +170,6 @@ def params_to_dict(p: DecompositionParams) -> dict:
         "epsilon": p.epsilon, "c_max": p.c_max, "rho": p.rho, "rho_s": p.rho_s,
         "zeta": p.zeta, "max_subspaces": p.max_subspaces,
         "root_sample_count": p.root_sample_count, "rng_seed": p.rng_seed,
-        "rho_both_endpoints": p.rho_both_endpoints,
     }
 
 
@@ -165,9 +180,7 @@ class Scenario:
         path = "scenario"
         if data.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
-        if "seed" not in data:
-            raise SchemaError("%s.seed: a seed is mandatory" % path)
-        self.seed = int(data["seed"])
+        self.seed = _req(data, "seed", int, path)
         self.arm = arm_from_dict(_req(data, "arm", dict, path))
         self.scene = scene_from_list(_req(data, "scene", list, path))
         self.online_obstacles = scene_from_list(data.get("online_obstacles") or [],
@@ -176,31 +189,44 @@ class Scenario:
         region = _req(grid, "region", list, path + ".task_grid")
         if len(region) != 4:
             raise SchemaError("%s.task_grid.region: expected [xmin, ymin, xmax, ymax]" % path)
-        self.grid_region = tuple(float(v) for v in region)
+        self.grid_region = tuple(_field(v, float, "%s.task_grid.region[%d]" % (path, i))
+                                 for i, v in enumerate(region))
         self.grid_spacing = _req(grid, "spacing", float, path + ".task_grid")
         if self.grid_spacing <= 0:
             raise SchemaError("%s.task_grid.spacing: must be positive" % path)
         self.connection_radius = _req(data, "connection_radius", float, path)
-        self.edge_check_count = int(data.get("edge_check_count", 5))
-        dparams = params_from_dict(_req(data, "decomposition", dict, path))
+        self.edge_check_count = _opt(data, "edge_check_count", int, 5, path)
+        if self.edge_check_count < 2:
+            raise SchemaError("%s.edge_check_count: must be at least 2" % path)
+        dparams = params_from_dict(_req(data, "decomposition", dict, path),
+                                   path + ".decomposition")
         dparams.rng_seed = self.seed
         self.decomposition = dparams
         seq = _req(data, "sequencing", dict, path)
-        self.k = int(seq.get("k", 10))
-        self.threshold = float(seq.get("threshold", 0.7))
+        self.k = _opt(seq, "k", int, 10, path + ".sequencing")
+        self.threshold = _opt(seq, "threshold", float, 0.7, path + ".sequencing")
+        if self.k < 1:
+            raise SchemaError("%s.sequencing.k: must be at least 1" % path)
+        if self.threshold <= 0:
+            raise SchemaError("%s.sequencing.threshold: must be positive" % path)
         self.home_task = TaskPoint(_pair(_req(seq, "home_task", list, path + ".sequencing"),
                                          path + ".sequencing.home_task"))
         motion = data.get("motion") or {}
-        self.step = float(motion.get("step", 0.05))
-        self.timeout = float(motion.get("timeout", 2.0))
-        self.dt = float(motion.get("dt", 0.01))
+        self.step = _opt(motion, "step", float, 0.05, path + ".motion")
+        self.timeout = _opt(motion, "timeout", float, 2.0, path + ".motion")
+        self.dt = _opt(motion, "dt", float, 0.01, path + ".motion")
+        for key in ("step", "dt"):
+            if getattr(self, key) <= 0:
+                raise SchemaError("%s.motion.%s: must be positive" % (path, key))
         self.base_poses = None
         if data.get("base_poses"):
             self.base_poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
                                for i, b in enumerate(data["base_poses"])]
         bench = data.get("bench") or {}
-        self.task_counts = [int(c) for c in bench.get("task_counts", [3, 5, 8])]
-        self.trials = int(bench.get("trials", 10))
+        counts = _opt(bench, "task_counts", list, [3, 5, 8], path + ".bench")
+        self.task_counts = [_field(c, int, "%s.bench.task_counts[%d]" % (path, i))
+                            for i, c in enumerate(counts)]
+        self.trials = _opt(bench, "trials", int, 10, path + ".bench")
         self.tasks = [TaskPoint(_pair(t, "%s.tasks[%d]" % (path, i)))
                       for i, t in enumerate(data.get("tasks") or [])]
         self.raw = data
@@ -327,8 +353,8 @@ def _metrics_to_dict(m) -> dict | None:
             "max_jerk": m.max_jerk, "valid": m.valid}
 
 
-def plan_to_dict(plan: SequencePlan, extra: dict | None = None) -> dict:
-    out = {
+def plan_to_dict(plan: SequencePlan) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "plan",
         "visit_order": list(plan.visit_order),
@@ -349,9 +375,6 @@ def plan_to_dict(plan: SequencePlan, extra: dict | None = None) -> dict:
         "home_config": None if plan.home_config is None
         else [float(v) for v in plan.home_config],
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def plan_from_dict(d) -> SequencePlan:

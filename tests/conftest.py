@@ -2,10 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from armseq import (ArmModel, Scene, build_graph, build_task_grid, decompose)
 from armseq.presets import tabletop, tabletop_single_box
 from armseq.serialize import Scenario
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

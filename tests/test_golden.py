@@ -25,18 +25,18 @@ RAIL_TASKS = [[-1.6, 0.8], [-1.0, 0.7], [-0.3, 0.9], [0.3, 0.7], [1.0, 0.9], [1.
 GOLDEN = {
     "tabletop": (
         TABLETOP_TASKS,
-        "9551c5d734f19b5a862257f822d9fc6cddaf637991336908106980db4dcec693",
-        "d438454ade6ca4f061f3f73a8f3b8a472b267bd438708a7df198bcde578e52ea",
+        "367055f9e59b99fafc3fe04fcc525279f6ca71cfe0424fc03d032de9dd8fed9b",
+        "1c6531890646769e2c0984dc74213f400f6e507c917a80c96e02c416eeb872b7",
     ),
     "tabletop_single_box": (
         TABLETOP_TASKS,
-        "7aeee3e2f5c30c32a9907a6e384a12fcd2d5c408206d28d02b8a1c57e4e31943",
-        "c258f4411d3045014c59ce1726a8f486f1a3e35d49bb951e237afa2165c98a44",
+        "fc6ff57824f2c9b382fa690c5954f11cad4bc1285d8070077d538437c611e302",
+        "9885e1324c0fb2b7a651c7cde2c1d9fed5a2ebab31e6d1c1bd51f901953ec0f9",
     ),
     "rail_mobile": (
         RAIL_TASKS,
-        "4d7c426b741235d93f69a7e5f13cceeb61af18955014252d12c399366fad6035",
-        "8fedf40e969294dce67fcc9a70bfc13829f6413fdcc36c31640aad78e81aebe5",
+        "005dfe1b9d1ea19d371f2d08d32ce2270c0469747f5e9d455fada8d39bd93767",
+        "14158be936dd6b7f7201656eee332f72abf3ea8a43ef3c721e3ebee1ab7ad348",
     ),
 }
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from armseq import (Decomposition, DecompositionParams, GhaMap, HOME,
                     DisconnectedError, NoIkSolutionsError, SequencingParams,
@@ -287,6 +289,34 @@ def test_tsp_exact_matches_brute_force():
             assert sorted(order) == list(range(n))
             _, best_cost = _brute_force_tour(W, 0)
             assert closed_tour_cost(W, order) == pytest.approx(best_cost, abs=1e-9)
+
+
+@given(st.data())
+def test_tsp_exact_matches_brute_force_on_integer_weights(data):
+    # small integer weights make many tours tie; the exact solver must still
+    # return an optimal tour from any anchor
+    n = data.draw(st.integers(3, 8), label="n")
+    pairs = n * (n - 1) // 2
+    upper = data.draw(st.lists(st.integers(0, 3), min_size=pairs, max_size=pairs),
+                      label="upper triangle")
+    anchor = data.draw(st.integers(0, n - 1), label="anchor")
+    W = np.zeros((n, n))
+    W[np.triu_indices(n, 1)] = upper
+    W += W.T
+    order = solve_tsp(W, anchor)
+    assert order[0] == anchor
+    assert sorted(order) == list(range(n))
+    assert closed_tour_cost(W, order) == _brute_force_tour(W, anchor)[1]
+
+
+def test_tsp_tie_rule():
+    # equal-cost tours: each step keeps the highest predecessor index and the
+    # tour ends at the lowest free index
+    W = np.ones((6, 6)) - np.eye(6)
+    assert solve_tsp(W, 0) == [0, 2, 3, 4, 5, 1]
+    assert solve_tsp(W, 3) == [3, 1, 2, 4, 5, 0]
+    W = np.ones((13, 13)) - np.eye(13)
+    assert solve_tsp(W, 0) == [0] + list(range(2, 13)) + [1]
 
 
 def test_tsp_anchor_respected():

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -251,6 +252,35 @@ def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, tas
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    (("seed",), "x"),
+    (("seed",), True),
+    (("motion", "step"), math.nan),
+    (("motion", "dt"), 0.0),
+    (("edge_check_count",), 2.5),
+    (("sequencing", "k"), True),
+    (("sequencing", "threshold"), math.inf),
+    (("bench", "trials"), "3"),
+    (("bench", "task_counts"), [3, 5.0]),
+    (("task_grid", "region"), [-1.2, math.nan, 1.2, 1.2]),
+    (("decomposition", "c_max"), -math.inf),
+    (("decomposition", "max_subspaces"), 2.0),
+    (("decomposition", "rho_both_endpoints"), True),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
+def test_cli_rejects_malformed_scenario_scalar(tmp_path, capsys, field, value):
+    scenario = tabletop()
+    block = scenario
+    for key in field[:-1]:
+        block = block.setdefault(key, {})
+    block[field[-1]] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["decompose", "--scenario", str(path), "--out", str(tmp_path / "a.json")]) == 1
+    err = capsys.readouterr().err
+    assert "input error: scenario." + ".".join(field) in err
+    assert "Traceback" not in err
+
+
 def test_cli_seed_override_changes_artifact(workdir):
     out1 = workdir / "a1.json"
     out2 = workdir / "a2.json"
@@ -305,23 +335,3 @@ def test_bench_interrupt_flushes_partial(workdir, monkeypatch):
     report, _ = bench_mod.run_bench(scenario)
     assert report["interrupted"] is True
     assert len(report["rows"]) == 4  # one completed trial, four methods
-
-
-def test_update_penalty_on_both_endpoints():
-    import numpy as np
-
-    from armseq import DecompositionParams, update
-
-    params = DecompositionParams(epsilon=1.0, rho=2.0, rho_both_endpoints=True)
-    g = np.array([0.0, 5.0])
-    theta = {0: np.array([0.0])}
-    omega = np.array([1, 1])
-    update([], g, theta, {}, 1, 0, np.array([0.3]), 0.3, params, omega=omega)
-    # l' = 0.3 + rho * omega(u) + rho * omega(t) = 0.3 + 2 + 2
-    assert g[1] == pytest.approx(4.3)
-    # with a larger source count the candidate exceeds c_max and is declined
-    g2 = np.array([0.0, 5.0])
-    omega2 = np.array([3, 1])
-    update([], g2, {0: np.array([0.0])}, {}, 1, 0, np.array([0.3]), 0.3,
-           params, omega=omega2)
-    assert g2[1] == 5.0
