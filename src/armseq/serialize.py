@@ -127,8 +127,10 @@ def arm_from_dict(d, path="arm") -> ArmModel:
             link_thickness=tuple(d.get("link_thickness") or ()),
             base_position=_pair(d.get("base_position", [0.0, 0.0]), path + ".base_position"),
             max_joint_velocity=tuple(d.get("max_joint_velocity") or ()),
-            free_joint_resolution=float(d.get("free_joint_resolution", 0.1)),
+            free_joint_resolution=_opt(d, "free_joint_resolution", float, 0.1, path),
         )
+    except SchemaError:
+        raise
     except (TypeError, ValueError) as exc:
         raise SchemaError("%s: %s" % (path, exc)) from exc
 
@@ -181,7 +183,7 @@ class Scenario:
         if data.get("schema_version") != SCHEMA_VERSION:
             raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
         self.seed = _req(data, "seed", int, path)
-        self.arm = arm_from_dict(_req(data, "arm", dict, path))
+        self.arm = arm_from_dict(_req(data, "arm", dict, path), path + ".arm")
         self.scene = scene_from_list(_req(data, "scene", list, path))
         self.online_obstacles = scene_from_list(data.get("online_obstacles") or [],
                                                 path + ".online_obstacles").obstacles

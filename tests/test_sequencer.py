@@ -310,8 +310,8 @@ def test_tsp_exact_matches_brute_force_on_integer_weights(data):
 
 
 def test_tsp_tie_rule():
-    # equal-cost tours: each step keeps the highest predecessor index and the
-    # tour ends at the lowest free index
+    # equal-cost tours: each step keeps the highest predecessor index, and of
+    # equal-cost last nodes the lowest index wins
     W = np.ones((6, 6)) - np.eye(6)
     assert solve_tsp(W, 0) == [0, 2, 3, 4, 5, 1]
     assert solve_tsp(W, 3) == [3, 1, 2, 4, 5, 0]

@@ -263,6 +263,7 @@ def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, tas
     (("bench", "trials"), "3"),
     (("bench", "task_counts"), [3, 5.0]),
     (("task_grid", "region"), [-1.2, math.nan, 1.2, 1.2]),
+    (("arm", "free_joint_resolution"), math.nan),
     (("decomposition", "c_max"), -math.inf),
     (("decomposition", "max_subspaces"), 2.0),
     (("decomposition", "rho_both_endpoints"), True),
