@@ -114,6 +114,17 @@ def test_robotsp_picks_cheap_cross_branch_pairing(arm2, empty_scene):
     assert config_distance(q1, q2) < 0.5
 
 
+def test_robotsp_tie_keeps_lowest_predecessor(monkeypatch, arm2, empty_scene):
+    import armseq.baselines as baselines_mod
+
+    # from home (0, 0) the last two candidates tie at 0.2 out and 0.2 back
+    candidates = [np.array([-1.0, 0.0]), np.array([-0.2, 0.0]), np.array([0.2, 0.0])]
+    monkeypatch.setattr(baselines_mod, "_first_ik", lambda arm, task, scene: candidates)
+    plan = robotsp_sequence([TaskPoint((1.0, 1.0))], arm2, empty_scene,
+                            TaskPoint((1.2, 0.6)), home_q=np.zeros(2))
+    assert np.array_equal(plan.visit_configs[1], candidates[1])
+
+
 def test_gtsp_single_task_two_ik(arm2, empty_scene):
     oracle = CostOracle(arm2, empty_scene, rng_seed=1)
     task = TaskPoint((1.0, 1.0))

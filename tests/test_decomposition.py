@@ -44,6 +44,10 @@ def test_get_mapping_argmin():
     q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=1.0))
     assert l == pytest.approx(0.2)
     assert q_u[0] == pytest.approx(0.2)
+    # equidistant candidates: the first one wins
+    g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[-0.2], [0.2]]], [(0, 1)])
+    q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=1.0))
+    assert q_u[0] == -0.2 and l == 0.2
 
 
 def test_get_mapping_threshold_arithmetic():

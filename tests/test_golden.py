@@ -28,6 +28,11 @@ GOLDEN = {
         "367055f9e59b99fafc3fe04fcc525279f6ca71cfe0424fc03d032de9dd8fed9b",
         "1c6531890646769e2c0984dc74213f400f6e507c917a80c96e02c416eeb872b7",
     ),
+    "tabletop_3link": (
+        TABLETOP_TASKS,
+        "edcd4a67644c506042d4fbf3696e08dfc85b135d3063392b78cd2df009fe015d",
+        "d3f7cb0310f938307e8e81a0b7fe0948db3b47735c7b95f475e65cb053182901",
+    ),
     "tabletop_single_box": (
         TABLETOP_TASKS,
         "fc6ff57824f2c9b382fa690c5954f11cad4bc1285d8070077d538437c611e302",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from armseq import (Decomposition, DecompositionParams, GhaMap, HOME,
                     DisconnectedError, NoIkSolutionsError, SequencingParams,
-                    TaskPoint, config_distance, home_config,
+                    TaskPoint, config_distance, home_config, ik_solutions,
                     intra_subspace_trajectory, match_task, sequence,
                     solve_tsp)
 from armseq.sequencer import TaskMatch, closed_tour_cost
@@ -73,6 +73,18 @@ def test_match_global_fallback_above_threshold(arm2, empty_scene):
                     arm=arm2, scene=empty_scene)
     assert mt.map_index == 0
     assert mt.similarity == pytest.approx(1.3)
+
+
+def test_match_tie_keeps_first_ranked_node(arm2, empty_scene):
+    # node 1 is nearer the task, so it ranks first; each node is assigned one
+    # of the task's two IK solutions, so both nodes reach similarity 0
+    c0, c1 = ik_solutions(arm2, TaskPoint((1.0, 1.0)), empty_scene)
+    dec = _single_node_decomposition([{0: c0, 1: c1}], positions=[(1.1, 1.0), (1.0, 1.0)])
+    mt = match_task(TaskPoint((1.0, 1.0)), dec, k=10, threshold=0.7,
+                    arm=arm2, scene=empty_scene)
+    assert mt.matched_node == 1
+    assert np.array_equal(mt.task_config, c1)
+    assert mt.similarity == 0.0
 
 
 def test_match_no_ik(arm2, empty_scene, tabletop_decomposition):
@@ -159,6 +171,16 @@ def test_home_config_argmin(arm2, empty_scene):
         dec = _single_node_decomposition([{0: target}])
         got = home_config(dec, TaskPoint((1.0, 1.0)), arm2, empty_scene)
         assert np.allclose(got, target, atol=1e-9)
+
+
+def test_home_config_tie_keeps_first_candidate(monkeypatch, arm2, empty_scene):
+    import armseq.sequencer as sequencer_mod
+
+    candidates = [np.array([-0.2, 0.0]), np.array([0.2, 0.0])]
+    monkeypatch.setattr(sequencer_mod, "ik_solutions", lambda arm, task, scene: candidates)
+    dec = _single_node_decomposition([{0: np.zeros(2)}])
+    got = home_config(dec, TaskPoint((1.0, 1.0)), arm2, empty_scene)
+    assert np.array_equal(got, candidates[0])
 
 
 def test_home_config_no_ik(arm2, empty_scene, tabletop_decomposition):
