@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .kinematics import ArmModel, TaskPoint, config_distance, ik_solutions, task_distance
+from .kinematics import ArmModel, TaskPoint, ik_solutions, task_distance
 from .motion import Trajectory, plan_leg
 from .sequencer import (HOME, Leg, NoIkSolutionsError, SequencePlan,
                         _straight_leg, solve_tsp)
@@ -132,22 +132,15 @@ def robotsp_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
     order = _task_space_order(tasks, home_task)
     task_seq = [i - 1 for i in order[1:]]
     layers = [[home_q]] + [ik_sets[i] for i in task_seq] + [[home_q]]
-    costs = [np.zeros(1)]
+    cost = np.zeros(1)
     back: list[np.ndarray] = []
     for prev_layer, layer in zip(layers, layers[1:]):
-        prev_cost = costs[-1]
-        cur_cost = np.empty(len(layer))
-        cur_back = np.empty(len(layer), dtype=int)
-        for j, q in enumerate(layer):
-            best, best_i = math.inf, 0
-            for i, p in enumerate(prev_layer):
-                c = prev_cost[i] + config_distance(p, q)
-                if c < best:
-                    best, best_i = c, i
-            cur_cost[j] = best
-            cur_back[j] = best_i
-        costs.append(cur_cost)
-        back.append(cur_back)
+        # total[i, j]: best cost to prev_layer[i], then d_C to layer[j]; ties
+        # keep the lowest predecessor i
+        d = np.abs(np.array(prev_layer)[:, None] - np.array(layer)).max(axis=2)
+        total = cost[:, None] + d
+        back.append(total.argmin(axis=0))
+        cost = total.min(axis=0)
     choice = [0] * len(layers)
     for li in range(len(layers) - 2, 0, -1):
         choice[li] = int(back[li][choice[li + 1]])

@@ -12,7 +12,6 @@ graph, :func:`decompose_mobile` one graph per base pose with one map each.
 
 from __future__ import annotations
 
-import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -112,17 +111,11 @@ def get_mapping(u: int, q_t, t: int, graph: TaskGraph, params: DecompositionPara
     None when the filtered set is empty (ties keep the earlier candidate).
     """
     d_t = graph.edges[(min(u, t), max(u, t))]
-    bound = params.epsilon + d_t
-    best = None
-    best_l = math.inf
-    for p in graph.ik_sets[u]:
-        l = config_distance(q_t, p)
-        if l < bound and l < best_l:
-            best = p
-            best_l = l
-    if best is None:
+    dist = np.abs(graph.ik_arrays[u] - q_t).max(axis=1)
+    i = int(dist.argmin())
+    if not dist[i] < params.epsilon + d_t:
         return None
-    return best, best_l
+    return graph.ik_sets[u][i], float(dist[i])
 
 
 def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
@@ -202,8 +195,6 @@ def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
     Ties keep the earlier candidate.
     """
     candidates = graph.ik_sets[root]
-    if not candidates:
-        raise ValueError("root node %d has no IK solutions" % root)
     best = None
     for q0 in candidates:
         if (q_avg0 is not None and params.zeta is not None

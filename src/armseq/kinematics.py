@@ -99,18 +99,13 @@ def forward_kinematics(arm: ArmModel, q) -> tuple[np.ndarray, list[np.ndarray]]:
     return pts[-1], pts
 
 
-def config_distance(a, b, metric: str = "linf") -> float:
-    """Configuration-space metric d_C: L-infinity by default, L2 selectable."""
+def config_distance(a, b) -> float:
+    """Configuration-space metric d_C: the L-infinity distance."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError("configurations have mismatched DOF: %s vs %s" % (a.shape, b.shape))
-    d = np.abs(a - b)
-    if metric == "linf":
-        return float(d.max())
-    if metric == "l2":
-        return float(math.sqrt(float((d * d).sum())))
-    raise ValueError("unknown metric %r" % metric)
+    return float(np.abs(a - b).max())
 
 
 def task_distance(s: TaskPoint, t: TaskPoint) -> float:

@@ -45,9 +45,8 @@ class Trajectory:
             raise ValueError("trajectory needs at least one waypoint")
         self.waypoints = [np.asarray(w, dtype=float) for w in self.waypoints]
 
-    def length(self, metric: str = "linf") -> float:
-        return sum(config_distance(a, b, metric)
-                   for a, b in zip(self.waypoints, self.waypoints[1:]))
+    def length(self) -> float:
+        return sum(config_distance(a, b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
 @dataclass(eq=False)

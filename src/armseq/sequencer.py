@@ -106,19 +106,16 @@ def match_task(task: TaskPoint, decomposition: Decomposition, k: int,
             continue
         any_ik = True
         graph = decomposition.graph_for(m)
-        ranked = sorted(
+        ranked = [n for _, n in sorted(
             (math.hypot(graph.nodes[n].position[0] - tx, graph.nodes[n].position[1] - ty), n)
             for n in m.assignment
-        )[:k]
-        best: TaskMatch | None = None
-        for _, node in ranked:
-            theta = m.assignment[node]
-            for q in candidates:
-                sim = config_distance(q, theta, metric="l2")
-                if best is None or sim < best.similarity:
-                    best = TaskMatch(task, mi, node, q, sim)
-        if best is None:
-            continue
+        )[:k]]
+        # L2 similarity of every (ranked node, candidate) pair; the row-major
+        # first argmin keeps the first ranked node, then the first candidate
+        diff = np.array([m.assignment[n] for n in ranked])[:, None] - np.array(candidates)
+        sims = np.sqrt((diff * diff).sum(axis=2))
+        r, c = np.unravel_index(int(sims.argmin()), sims.shape)
+        best = TaskMatch(task, mi, ranked[r], candidates[c], float(sims[r, c]))
         if best.similarity < threshold:
             return best
         if global_best is None or best.similarity < global_best.similarity:
@@ -156,14 +153,8 @@ def home_config(decomposition: Decomposition, home_task: TaskPoint,
     if not candidates:
         raise NoIkSolutionsError("home task at %r has no valid IK solution"
                                  % (home_task.position,))
-    mean = decomposition.maps[0].mean_config
-    best = candidates[0]
-    best_d = config_distance(best, mean)
-    for q in candidates[1:]:
-        d = config_distance(q, mean)
-        if d < best_d:
-            best, best_d = q, d
-    return best
+    d = np.abs(np.array(candidates) - decomposition.maps[0].mean_config).max(axis=1)
+    return candidates[int(d.argmin())]
 
 
 def closed_tour_cost(weights: np.ndarray, order) -> float:

@@ -247,7 +247,7 @@ def graph_to_dict(g: TaskGraph) -> dict:
     return {
         "nodes": [list(p.position) for p in g.nodes],
         "base_index": g.nodes[0].base_index if g.nodes else None,
-        "ik_sets": [[[float(v) for v in q] for q in sols] for sols in g.ik_sets],
+        "ik_sets": [a.tolist() for a in g.ik_arrays],
         "edges": [[i, j, w] for (i, j), w in sorted(g.edges.items())],
         "connection_radius": g.connection_radius,
     }
@@ -257,8 +257,14 @@ def graph_from_dict(d, path="graph") -> TaskGraph:
     base_index = d.get("base_index")
     nodes = [TaskPoint(_pair(p, "%s.nodes[%d]" % (path, i)), base_index=base_index)
              for i, p in enumerate(_req(d, "nodes", list, path))]
-    ik_sets = [[np.array(q, dtype=float) for q in sols]
-               for sols in _req(d, "ik_sets", list, path)]
+    ik_sets = []
+    for i, sols in enumerate(_req(d, "ik_sets", list, path)):
+        p = "%s.ik_sets[%d]" % (path, i)
+        if (not isinstance(sols, list) or not sols
+                or any(not isinstance(q, list) or len(q) != len(sols[0]) for q in sols)):
+            raise SchemaError("%s: expected a nonempty list of equal-length configurations" % p)
+        ik_sets.append([[_field(v, float, "%s[%d][%d]" % (p, j, k)) for k, v in enumerate(q)]
+                        for j, q in enumerate(sols)])
     edges = {}
     for i, j, w in _req(d, "edges", list, path):
         edges[(int(i), int(j))] = float(w)
@@ -341,7 +347,7 @@ def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
         poses = [tuple(b) for b in d["base_poses"]]
         dec = Decomposition(maps, None, params, coverage, graphs, poses)
     else:
-        dec = Decomposition(maps, graph_from_dict(_req(d, "graph", dict, path)),
+        dec = Decomposition(maps, graph_from_dict(_req(d, "graph", dict, path), path + ".graph"),
                             params, coverage)
     return dec, scenario
 

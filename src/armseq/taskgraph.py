@@ -40,15 +40,24 @@ def build_task_grid(region, spacing: float) -> list[TaskPoint]:
 
 @dataclass(eq=False)
 class TaskGraph:
-    """Undirected task graph with per-node IK candidate sets and cached d_T weights."""
+    """Undirected task graph with per-node IK candidate sets and cached d_T weights.
+
+    ``ik_arrays[u]`` stacks node u's IK candidates into one (k, dof) array, and
+    ``ik_sets[u]`` lists that array's rows; maps and plans keep those rows.
+    """
 
     nodes: list[TaskPoint]
     ik_sets: list[list[np.ndarray]]
     edges: dict[tuple[int, int], float]
     connection_radius: float
     adjacency: list[list[tuple[int, float]]] = field(default_factory=list, repr=False)
+    ik_arrays: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.ik_arrays = [np.array(sols, dtype=float) for sols in self.ik_sets]
+        if any(a.ndim != 2 or not len(a) for a in self.ik_arrays):
+            raise ValueError("every node needs a nonempty (k, dof) set of IK candidates")
+        self.ik_sets = [list(a) for a in self.ik_arrays]
         adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
         for (i, j), w in self.edges.items():
             adj[i].append((j, w))

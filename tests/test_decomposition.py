@@ -16,12 +16,11 @@ from armseq.serialize import map_to_dict
 def make_graph(positions, ik_sets, edges, radius=1.0):
     """Synthetic graph; ik_sets entries are lists of plain float lists."""
     nodes = [TaskPoint(p) for p in positions]
-    iks = [[np.array(q, dtype=float) for q in sols] for sols in ik_sets]
     weights = {}
     for i, j in edges:
         i, j = min(i, j), max(i, j)
         weights[(i, j)] = math.dist(positions[i], positions[j])
-    return TaskGraph(nodes, iks, weights, radius)
+    return TaskGraph(nodes, ik_sets, weights, radius)
 
 
 def params(**kw):

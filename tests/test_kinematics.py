@@ -87,7 +87,6 @@ def test_config_distance_examples():
     assert config_distance([0.0, 0.0], [1.0, -2.0]) == 2.0
     assert config_distance([0.3, 0.7], [0.3, 0.7]) == 0.0
     assert config_distance([0.1, 0.2], [0.4, 0.2]) == pytest.approx(0.3)
-    assert config_distance([0.0, 0.0], [3.0, 4.0], metric="l2") == pytest.approx(5.0)
 
 
 def test_config_distance_dimension_mismatch():
@@ -107,17 +106,16 @@ def test_task_distance_base_mismatch():
         task_distance(TaskPoint((0.0, 0.0), base_index=0), TaskPoint((1.0, 0.0), base_index=1))
 
 
-@pytest.mark.parametrize("metric", ["linf", "l2"])
-def test_metric_axioms_random_triples(metric):
+def test_metric_axioms_random_triples():
     rng = np.random.default_rng(5)
     for _ in range(300):
         a, b, c = rng.uniform(-3, 3, size=(3, 2))
-        dab = config_distance(a, b, metric)
-        dba = config_distance(b, a, metric)
+        dab = config_distance(a, b)
+        dba = config_distance(b, a)
         assert dab == pytest.approx(dba, abs=1e-12)
         assert dab >= 0.0
-        assert config_distance(a, a, metric) <= 1e-12
-        assert dab <= config_distance(a, c, metric) + config_distance(c, b, metric) + 1e-12
+        assert config_distance(a, a) <= 1e-12
+        assert dab <= config_distance(a, c) + config_distance(c, b) + 1e-12
 
 
 def test_arm_model_validation():

@@ -19,7 +19,7 @@ from test_decomposition import make_graph, params
 def _single_node_decomposition(assignments, positions=None):
     """Decomposition with one map per assignment dict over a shared graph."""
     positions = positions or [(1.0, 1.0)]
-    ik = [[list(q) for q in qs] for qs in ([[np.zeros(2)]] * len(positions))]
+    ik = [[[0.0, 0.0]]] * len(positions)
     g = make_graph(positions, ik, [], radius=1.0)
     maps = []
     for assign in assignments:

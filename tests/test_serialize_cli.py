@@ -147,6 +147,20 @@ def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
     assert main(["verify", "--artifact", str(worse_path)]) == 4
 
 
+@pytest.mark.parametrize("ik_set", [[[0.1, 0.2], [0.3]], [["x", 0.2]], [[None, 0.2]],
+                                    [[True, 0.2]], [], [0.1, 0.2], "x"],
+                         ids=["ragged", "string", "null", "bool", "empty", "flat", "text"])
+def test_cli_rejects_malformed_artifact_ik_set(workdir, artifact_path, capsys, ik_set):
+    art = load_json(artifact_path)
+    art["graph"]["ik_sets"][3] = ik_set
+    bad_path = workdir / "bad_ik_set.json"
+    bad_path.write_text(json.dumps(art))
+    assert main(["verify", "--artifact", str(bad_path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: artifact.graph.ik_sets[3]" in err
+    assert "Traceback" not in err
+
+
 def test_cli_sequence_empty_tasks(workdir, artifact_path):
     tasks = workdir / "tasks_empty.json"
     tasks.write_text(dumps({"tasks": []}))
