@@ -11,11 +11,10 @@ import warnings
 
 from armseq import (build_graph, build_task_grid, config_distance, decompose,
                     verify_gha)
-from armseq.presets import tabletop
 from armseq.render import render_decomposition_svg
-from armseq.serialize import Scenario
+from armseq.serialize import load_scenario
 
-scenario = Scenario(tabletop())
+scenario = load_scenario("scenarios/tabletop.json")
 
 points = build_task_grid(scenario.grid_region, scenario.grid_spacing)
 with warnings.catch_warnings():

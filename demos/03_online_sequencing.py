@@ -12,11 +12,10 @@ import warnings
 from armseq import (CostOracle, SequencingParams, adapt_plan, build_graph,
                     build_task_grid, decompose, naive_sequence,
                     plan_visit_cost, robotsp_sequence, sequence)
-from armseq.presets import tabletop_single_box
 from armseq.render import render_plan_svg
-from armseq.serialize import Scenario
+from armseq.serialize import load_scenario
 
-scenario = Scenario(tabletop_single_box())
+scenario = load_scenario("scenarios/tabletop_single_box.json")
 points = build_task_grid(scenario.grid_region, scenario.grid_spacing)
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")

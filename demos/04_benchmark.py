@@ -1,15 +1,15 @@
 """Randomized benchmark sweep comparing all four sequencing methods.
 
-Shrinks the preset sweep so the demo finishes in well under a minute; the
-full preset ({3, 5, 8} tasks x 10 trials) is what the acceptance suite runs.
+Shrinks the sweep of scenarios/tabletop.json so the demo finishes in well
+under a minute; its full sweep ({3, 5, 8} tasks x 10 trials) is what the
+acceptance suite runs.
 Identical (scenario, seed) pairs always produce byte-identical reports.
 """
 
 from armseq.bench import run_bench, summary_table
-from armseq.presets import tabletop
-from armseq.serialize import Scenario, dumps
+from armseq.serialize import Scenario, dumps, load_json
 
-data = tabletop()
+data = load_json("scenarios/tabletop.json")
 data["bench"] = {"task_counts": [3, 5], "trials": 3}
 scenario = Scenario(data)
 

@@ -10,11 +10,10 @@ import os
 import warnings
 
 from armseq import decompose_mobile
-from armseq.presets import rail_mobile
 from armseq.render import render_decomposition_svg
-from armseq.serialize import Scenario
+from armseq.serialize import load_scenario
 
-scenario = Scenario(rail_mobile())
+scenario = load_scenario("scenarios/rail_mobile.json")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     dec = decompose_mobile(scenario.grid_region, scenario.grid_spacing,

@@ -56,6 +56,10 @@ class ArmModel:
         if len(vmax) != len(lengths) or any(x <= 0 for x in vmax):
             raise ValueError("need one positive velocity limit per joint")
         object.__setattr__(self, "base_position", (float(self.base_position[0]), float(self.base_position[1])))
+        values = (*lengths, *(v for pair in limits for v in pair), *thick, *vmax,
+                  *self.base_position, self.free_joint_resolution)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("arm parameters must be finite")
         if self.free_joint_resolution <= 0:
             raise ValueError("free_joint_resolution must be positive")
 
@@ -66,9 +70,6 @@ class ArmModel:
     def at_base(self, base) -> "ArmModel":
         """Same arm translated to a new base position (mobile-base variant)."""
         return replace(self, base_position=(float(base[0]), float(base[1])))
-
-    def within_limits(self, q) -> bool:
-        return all(lo <= qi <= hi for qi, (lo, hi) in zip(q, self.joint_limits))
 
 
 @dataclass(frozen=True)

@@ -119,14 +119,22 @@ def scene_from_list(items, path="scene") -> Scene:
 
 # ----------------------------------------------------------------- scenario
 
+def _floats(values, path):
+    if not isinstance(values, list):
+        raise SchemaError("%s: expected a list of finite numbers" % path)
+    return tuple(_field(v, float, "%s[%d]" % (path, i)) for i, v in enumerate(values))
+
+
 def arm_from_dict(d, path="arm") -> ArmModel:
     try:
         return ArmModel(
-            link_lengths=tuple(_req(d, "link_lengths", list, path)),
-            joint_limits=tuple(tuple(pair) for pair in _req(d, "joint_limits", list, path)),
-            link_thickness=tuple(d.get("link_thickness") or ()),
+            link_lengths=_floats(_req(d, "link_lengths", list, path), path + ".link_lengths"),
+            joint_limits=tuple(_pair(p, "%s.joint_limits[%d]" % (path, i))
+                               for i, p in enumerate(_req(d, "joint_limits", list, path))),
+            link_thickness=_floats(d.get("link_thickness") or [], path + ".link_thickness"),
             base_position=_pair(d.get("base_position", [0.0, 0.0]), path + ".base_position"),
-            max_joint_velocity=tuple(d.get("max_joint_velocity") or ()),
+            max_joint_velocity=_floats(d.get("max_joint_velocity") or [],
+                                       path + ".max_joint_velocity"),
             free_joint_resolution=_opt(d, "free_joint_resolution", float, 0.1, path),
         )
     except SchemaError:

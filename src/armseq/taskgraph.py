@@ -104,9 +104,6 @@ class TaskGraph:
             path.append(prev[path[-1]])
         return path[::-1], dist[b]
 
-    def positions(self) -> np.ndarray:
-        return np.array([p.position for p in self.nodes], dtype=float)
-
     def component_count(self) -> int:
         seen = [False] * len(self.nodes)
         count = 0

@@ -56,9 +56,6 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
-    def offline_only(self) -> "Scene":
-        return Scene(tuple(o for o in self.obstacles if o.tag == OFFLINE))
-
     def with_obstacles(self, extra) -> "Scene":
         return Scene(self.obstacles + tuple(extra))
 

@@ -1,12 +1,15 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from armseq import (ArmModel, Scene, build_graph, build_task_grid, decompose)
-from armseq.presets import tabletop, tabletop_single_box
 from armseq.serialize import Scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # property tests draw the same examples on every run and store none
 settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
@@ -33,13 +36,19 @@ def empty_scene():
 
 
 @pytest.fixture(scope="session")
-def tabletop_scenario():
-    return Scenario(tabletop())
+def scenario_json():
+    """Loader of a shipped scenario by name; every call returns a fresh dict."""
+    return lambda name: json.loads((SCENARIOS / (name + ".json")).read_text())
 
 
 @pytest.fixture(scope="session")
-def single_box_scenario():
-    return Scenario(tabletop_single_box())
+def tabletop_scenario(scenario_json):
+    return Scenario(scenario_json("tabletop"))
+
+
+@pytest.fixture(scope="session")
+def single_box_scenario(scenario_json):
+    return Scenario(scenario_json("tabletop_single_box"))
 
 
 def _build(scenario):

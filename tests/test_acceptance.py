@@ -17,7 +17,6 @@ from armseq import (CostOracle, SequencingParams, TaskPoint, adapt_plan,
                     robotsp_sequence, sequence, verify_gha)
 from armseq.bench import run_bench
 from armseq.cli import main
-from armseq.presets import tabletop, tabletop_single_box
 from armseq.sequencer import closed_tour_cost, solve_tsp
 from armseq.serialize import Scenario, dumps
 
@@ -29,9 +28,9 @@ def _report(num, ok, desc, detail=""):
 
 
 @pytest.fixture(scope="module")
-def fig1():
+def fig1(scenario_json):
     """Two-subspace tabletop: offline stage, timed."""
-    scenario = Scenario(tabletop())
+    scenario = Scenario(scenario_json("tabletop"))
     t0 = time.perf_counter()
     points = build_task_grid(scenario.grid_region, scenario.grid_spacing)
     with warnings.catch_warnings():
@@ -52,8 +51,8 @@ def fig1_verifications(fig1):
 
 
 @pytest.fixture(scope="module")
-def bench_report():
-    scenario = Scenario(tabletop())  # task_counts {3,5,8} x 10 trials preset
+def bench_report(scenario_json):
+    scenario = Scenario(scenario_json("tabletop"))  # task_counts {3,5,8} x 10 trials, as shipped
     return run_bench(scenario)[0]
 
 
@@ -102,8 +101,8 @@ def test_criterion_04_subspace_disjointness(fig1):
             "min cross-map d_C %.3f > eps %.2f" % (min_cross, eps))
 
 
-def test_criterion_05_sequencing_beats_naive():
-    scenario = Scenario(tabletop_single_box())
+def test_criterion_05_sequencing_beats_naive(scenario_json):
+    scenario = Scenario(scenario_json("tabletop_single_box"))
     points = build_task_grid(scenario.grid_region, scenario.grid_spacing)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -197,8 +196,8 @@ def test_criterion_08_success_rate_direction(bench_report):
             % (ours, naive, len(rows) // 4))
 
 
-def test_criterion_09_bench_determinism(tmp_path):
-    scenario = tabletop()
+def test_criterion_09_bench_determinism(scenario_json, tmp_path):
+    scenario = scenario_json("tabletop")
     scenario["bench"] = {"task_counts": [3], "trials": 2}
     path = tmp_path / "scenario.json"
     path.write_text(dumps(scenario))

@@ -49,6 +49,27 @@ def test_get_mapping_argmin():
     assert q_u[0] == -0.2 and l == 0.2
 
 
+def test_get_mapping_matches_loop_reference():
+    # candidates on a coarse lattice make equal distances common
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        cands = (rng.integers(-4, 5, size=(int(rng.integers(1, 6)), 2)) * 0.25).tolist()
+        q_t = rng.integers(-4, 5, size=2) * 0.25
+        eps = float(rng.choice([0.2, 0.5, 1.0]))
+        g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0, 0.0]], cands], [(0, 1)])
+        bound = eps + g.edges[(0, 1)]
+        best = None
+        for p in g.ik_sets[1]:
+            l = config_distance(q_t, p)
+            if l < bound and (best is None or l < best[1]):
+                best = (p, l)
+        got = get_mapping(1, q_t, 0, g, params(epsilon=eps))
+        if best is None:
+            assert got is None
+        else:
+            assert got[0] is best[0] and got[1] == best[1]
+
+
 def test_get_mapping_threshold_arithmetic():
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.449], [0.451]]], [(0, 1)])
     q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=0.35))

@@ -56,7 +56,7 @@ def test_ik_round_trip_random_targets(arm2, empty_scene):
         for q in ik_solutions(arm2, TaskPoint(target), empty_scene):
             tip, _ = forward_kinematics(arm2, q)
             assert math.hypot(tip[0] - target[0], tip[1] - target[1]) <= 1e-9
-            assert arm2.within_limits(q)
+            assert all(lo <= qi <= hi for qi, (lo, hi) in zip(q, arm2.joint_limits))
             checked += 1
     assert checked > 300
 
@@ -128,6 +128,17 @@ def test_arm_model_validation():
     with pytest.raises(ValueError):
         ArmModel(link_lengths=(1.0, 1.0), joint_limits=((-1.0, 1.0),) * 2,
                  free_joint_resolution=0.0)
+    # non-finite entries; an infinite joint limit would make the IK enumeration endless
+    with pytest.raises(ValueError):
+        ArmModel(link_lengths=(1.0, math.nan), joint_limits=((-1.0, 1.0),) * 2)
+    with pytest.raises(ValueError):
+        ArmModel(link_lengths=(1.0, 1.0), joint_limits=((-1.0, math.inf), (-1.0, 1.0)))
+    with pytest.raises(ValueError):
+        ArmModel(link_lengths=(1.0, 1.0), joint_limits=((-1.0, 1.0),) * 2,
+                 max_joint_velocity=(1.0, math.inf))
+    with pytest.raises(ValueError):
+        ArmModel(link_lengths=(1.0, 1.0), joint_limits=((-1.0, 1.0),) * 2,
+                 free_joint_resolution=math.nan)
 
 
 def test_ik_respects_collisions(arm2):

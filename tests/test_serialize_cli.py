@@ -8,7 +8,6 @@ import pytest
 
 from armseq import decompose, verify_gha
 from armseq.cli import main
-from armseq.presets import rail_mobile, tabletop, tabletop_single_box
 from armseq.serialize import (SchemaError, Scenario, artifact_from_dict,
                               artifact_to_dict, dumps, graph_from_dict,
                               graph_to_dict, load_json, map_to_dict,
@@ -24,20 +23,20 @@ def test_scenario_parses(tabletop_scenario):
     assert sc.home_task.position == (-0.2, 0.9)
 
 
-def test_scenario_schema_errors():
-    bad = tabletop()
+def test_scenario_schema_errors(scenario_json):
+    bad = scenario_json("tabletop")
     del bad["task_grid"]
     with pytest.raises(SchemaError, match="task_grid"):
         Scenario(bad)
-    bad = tabletop()
+    bad = scenario_json("tabletop")
     bad["task_grid"]["spacing"] = -1
     with pytest.raises(SchemaError, match="spacing"):
         Scenario(bad)
-    bad = tabletop()
+    bad = scenario_json("tabletop")
     del bad["seed"]
     with pytest.raises(SchemaError, match="seed"):
         Scenario(bad)
-    bad = tabletop()
+    bad = scenario_json("tabletop")
     bad["scene"][0]["kind"] = "triangle"
     with pytest.raises(SchemaError, match="kind"):
         Scenario(bad)
@@ -83,12 +82,12 @@ def test_plan_round_trip(single_box_scenario, single_box_decomposition):
 # --------------------------------------------------------------------- CLI
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
+def workdir(scenario_json, tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
     scenario = root / "tabletop.json"
-    scenario.write_text(dumps(tabletop()))
+    scenario.write_text(dumps(scenario_json("tabletop")))
     single = root / "single.json"
-    single.write_text(dumps(tabletop_single_box()))
+    single.write_text(dumps(scenario_json("tabletop_single_box")))
     return root
 
 
@@ -112,8 +111,8 @@ def test_cli_decompose_artifact(artifact_path):
         assert rep["geodesic_bound_violations"] == []
 
 
-def test_cli_decompose_partial_coverage_exit2(workdir):
-    scenario = tabletop()
+def test_cli_decompose_partial_coverage_exit2(scenario_json, workdir):
+    scenario = scenario_json("tabletop")
     scenario["task_grid"] = {"region": [1.86, 0.0, 1.96, 0.0], "spacing": 0.02}
     scenario["connection_radius"] = 0.025
     scenario["decomposition"]["epsilon"] = 0.025
@@ -193,8 +192,8 @@ def test_cli_sequence_plans_mission(workdir, artifact_path):
     assert (workdir / "plan_ok.json.timings.json").exists()
 
 
-def test_cli_bench_deterministic(workdir):
-    scenario = tabletop()
+def test_cli_bench_deterministic(scenario_json, workdir):
+    scenario = scenario_json("tabletop")
     scenario["bench"] = {"task_counts": [3], "trials": 2}
     path = workdir / "bench_scenario.json"
     path.write_text(dumps(scenario))
@@ -236,14 +235,14 @@ def test_cli_render_plan(workdir, artifact_path):
     assert root.tag.endswith("svg")
 
 
-def test_cli_input_errors(workdir, capsys):
+def test_cli_input_errors(scenario_json, workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text("{not json")
     assert main(["decompose", "--scenario", str(bad), "--out", str(workdir / "x.json")]) == 1
     err = capsys.readouterr().err
     assert "line" in err
     schema_bad = workdir / "schema_bad.json"
-    scenario = tabletop()
+    scenario = scenario_json("tabletop")
     scenario["task_grid"]["spacing"] = -0.5
     schema_bad.write_text(dumps(scenario))
     assert main(["decompose", "--scenario", str(schema_bad),
@@ -281,9 +280,17 @@ def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, tas
     (("decomposition", "c_max"), -math.inf),
     (("decomposition", "max_subspaces"), 2.0),
     (("decomposition", "rho_both_endpoints"), True),
+    pytest.param(("arm", "link_lengths"), [1.0, math.nan], id="arm.link_lengths-nan"),
+    pytest.param(("arm", "link_lengths"), [1.0, "1"], id="arm.link_lengths-str"),
+    pytest.param(("arm", "joint_limits"), [[-math.pi, math.inf], [-math.pi, math.pi]],
+                 id="arm.joint_limits-inf"),
+    pytest.param(("arm", "joint_limits"), [[-math.pi, math.pi], [0.0]],
+                 id="arm.joint_limits-single"),
+    pytest.param(("arm", "link_thickness"), [0.04, -math.inf], id="arm.link_thickness-inf"),
+    pytest.param(("arm", "max_joint_velocity"), [1.0, True], id="arm.max_joint_velocity-bool"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
-def test_cli_rejects_malformed_scenario_scalar(tmp_path, capsys, field, value):
-    scenario = tabletop()
+def test_cli_rejects_malformed_scenario_scalar(scenario_json, tmp_path, capsys, field, value):
+    scenario = scenario_json("tabletop")
     block = scenario
     for key in field[:-1]:
         block = block.setdefault(key, {})
@@ -306,8 +313,8 @@ def test_cli_seed_override_changes_artifact(workdir):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_mobile_scenario_artifact_round_trip(tmp_path):
-    scenario = rail_mobile()
+def test_mobile_scenario_artifact_round_trip(scenario_json, tmp_path):
+    scenario = scenario_json("rail_mobile")
     scenario["task_grid"]["region"] = [-1.4, 0.6, 1.4, 0.9]
     path = tmp_path / "mobile.json"
     path.write_text(dumps(scenario))
