@@ -103,119 +103,114 @@ class Decomposition:
         return self.base_graphs[m.base_index]
 
 
-def get_mapping(u: int, q_t, t: int, graph: TaskGraph, params: DecompositionParams):
-    """Candidate assignment for an unassigned neighbour ``u`` expanded from ``t``.
+def get_mapping(u: int, q_t, d_t: float, graph: TaskGraph, epsilon: float):
+    """Candidate of an unassigned ``u`` reached from ``q_t`` over an edge of d_T ``d_t``.
 
-    Among IK solutions p of ``u`` with d_C(q_t, p) < epsilon + d_T(u, t),
-    returns the one minimising d_C(q_t, p) together with that edge cost, or
-    None when the filtered set is empty (ties keep the earlier candidate).
+    Among u's IK candidates p with d_C(q_t, p) < epsilon + d_t, returns the
+    index in ``graph.ik_sets[u]`` of the one nearest to q_t and that d_C, or
+    None when none passes (ties keep the earlier candidate).
     """
-    d_t = graph.edges[(min(u, t), max(u, t))]
     dist = np.abs(graph.ik_arrays[u] - q_t).max(axis=1)
     i = int(dist.argmin())
-    if not dist[i] < params.epsilon + d_t:
+    if not dist[i] < epsilon + d_t:
         return None
-    return graph.ik_sets[u][i], float(dist[i])
+    return i, float(dist[i])
 
 
-def update(queue, g, theta, parent, u: int, t: int, q_u, l: float,
-           params: DecompositionParams, omega: Sequence[int] | None = None,
-           q_avg0=None) -> bool:
-    """Relax the edge (u, t): assign/keep q_u and improve u's path cost.
+@dataclass(eq=False, slots=True)
+class _Sweep:
+    """One sweep's state: path costs ``g``, each node's candidate index ``pick``
+    (-1 while unassigned), tree ``parent`` (-1 for none), the (cost, node)
+    ``heap``, and the map's penalty prices (see :func:`generate_map`)."""
 
-    The effective cost adds the revisit penalty rho * omega[u], where
-    ``omega`` counts per node how many accepted maps assigned it (charged on
-    the target u only, so expanding the root is never penalized), and, once a
-    first map exists (``q_avg0`` is its mean configuration), the
-    mean-proximity penalty rho_s * d_C(q_u, q_avg0). Penalties enter path
-    costs only; the edge itself was already screened against the raw epsilon
-    condition. Returns True when state changed. Assignments made earlier in
-    the same search are never overwritten.
+    g: list[float]
+    pick: list[int]
+    parent: list[int]
+    heap: list[tuple[float, int]]
+    node_pen: list[float]
+    cand_pen: list[list[float]]
+
+
+def update(s: _Sweep, u: int, t: int, i: int, l: float) -> bool:
+    """Relax the edge (t, u) with u's candidate ``i`` at d_C ``l``; True when g[u] fell.
+
+    Penalties enter path costs only (the edge was already screened against
+    the raw epsilon condition), and a node keeps its first candidate.
     """
-    eff = l
-    if omega is not None and params.rho:
-        eff += params.rho * omega[u]
-    if q_avg0 is not None and params.rho_s:
-        eff += params.rho_s * config_distance(q_u, q_avg0)
-    cand = eff + g[t]
-    if cand < g[u]:
-        if u not in theta:
-            theta[u] = q_u
-        parent[u] = t
-        g[u] = cand
-        heappush(queue, (cand, u))
+    cand = ((l + s.node_pen[u]) + s.cand_pen[u][i]) + s.g[t]
+    if cand < s.g[u]:
+        if s.pick[u] < 0:
+            s.pick[u] = i
+        s.parent[u] = t
+        s.g[u] = cand
+        heappush(s.heap, (cand, u))
         return True
     return False
 
 
-def _search_from_root(graph: TaskGraph, root: int, q0, params: DecompositionParams,
-                      omega: Sequence[int] | None, q_avg0):
-    """One Dijkstra-style sweep from (root, q0); returns (J, theta, parent, g)."""
+def _search_from_root(graph: TaskGraph, root: int, k: int, params: DecompositionParams,
+                      node_pen: list[float], cand_pen: list[list[float]]):
+    """One Dijkstra-style sweep from the root's candidate ``k``; returns (J, sweep)."""
     n = len(graph)
-    g = np.full(n, params.c_max, dtype=float)
+    s = _Sweep([float(params.c_max)] * n, [-1] * n, [-1] * n, [(0.0, root)],
+               node_pen, cand_pen)
+    g, pick, heap, rows = s.g, s.pick, s.heap, graph.ik_sets
     g[root] = 0.0
-    theta: dict[int, np.ndarray] = {root: q0}
-    parent: dict[int, int] = {}
-    queue: list[tuple[float, int]] = [(0.0, root)]
-    eps = params.epsilon
-    while queue:
-        gt, t = heappop(queue)
+    pick[root] = k
+    while heap:
+        gt, t = heappop(heap)
         if gt != g[t]:
             continue  # stale heap entry
-        q_t = theta[t]
+        q_t = rows[t][pick[t]]
         for u, d_t in graph.neighbors(t):
-            if u in theta:
-                q_u = theta[u]
-                l = config_distance(q_t, q_u)
+            i = pick[u]
+            if i >= 0:
+                l = float(np.abs(q_t - rows[u][i]).max())
                 # edge may only join the map if it meets the raw epsilon condition
-                if abs(l - d_t) >= eps:
+                if abs(l - d_t) >= params.epsilon:
                     continue
             else:
-                got = get_mapping(u, q_t, t, graph, params)
+                got = get_mapping(u, q_t, d_t, graph, params.epsilon)
                 if got is None:
                     continue
-                q_u, l = got
-            update(queue, g, theta, parent, u, t, q_u, l, params, omega, q_avg0)
-    J = float(g.sum() - g[root])
-    return J, theta, parent, g
-
-
-def _mean_config(theta: dict[int, np.ndarray]) -> np.ndarray:
-    stacked = np.array([theta[i] for i in sorted(theta)], dtype=float)
-    return stacked.mean(axis=0)
+                i, l = got
+            update(s, u, t, i, l)
+    return float(np.sum(g) - g[root]), s
 
 
 def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
                  omega: Sequence[int] | None = None, q_avg0=None) -> tuple[float, GhaMap]:
     """Best map rooted at ``root``: minimum objective over the root's IK candidates.
 
-    The objective J is the sum over non-root nodes of their final path cost;
-    nodes left unassigned contribute ``c_max``. When ``q_avg0`` is given,
-    root candidates at distance ``zeta`` or more from it are skipped.
-    Ties keep the earlier candidate.
+    Penalties are priced once per call, and one that is off costs 0.0. Node
+    u costs rho * omega[u] on every edge into it, ``omega`` counting the
+    accepted maps that assigned it. Once a first map exists (``q_avg0`` is its
+    mean configuration), candidate p costs rho_s * d_C(p, q_avg0), and root
+    candidates at d_C ``zeta`` or more from q_avg0 are skipped. The objective J
+    sums the final path costs of non-root nodes (``c_max`` if unassigned).
+    Ties keep the earlier root candidate.
     """
-    candidates = graph.ik_sets[root]
+    node_pen = [0.0] * len(graph) if omega is None else [params.rho * w for w in omega]
+    if q_avg0 is None:
+        cand_pen = [[0.0] * len(rows) for rows in graph.ik_sets]
+    else:
+        d_avg = [np.abs(a - q_avg0).max(axis=1) for a in graph.ik_arrays]
+        cand_pen = [(params.rho_s * d).tolist() for d in d_avg]
     best = None
-    for q0 in candidates:
-        if (q_avg0 is not None and params.zeta is not None
-                and config_distance(q0, q_avg0) >= params.zeta):
+    for k in range(len(graph.ik_sets[root])):
+        if q_avg0 is not None and params.zeta is not None and d_avg[root][k] >= params.zeta:
             continue
-        J, theta, parent, _ = _search_from_root(graph, root, q0, params, omega, q_avg0)
+        J, s = _search_from_root(graph, root, k, params, node_pen, cand_pen)
         if best is None or J < best[0]:
-            best = (J, theta, parent, q0)
+            best = (J, s)
     if best is None:
-        raise NoFeasibleRootError("all %d root candidates rejected by zeta" % len(candidates))
-    J, theta, parent, q0 = best
-    tree = {(min(u, p), max(u, p)) for u, p in parent.items()}
-    m = GhaMap(
-        assignment=theta,
-        tree_edges=tree,
-        root=root,
-        root_config=q0,
-        mean_config=_mean_config(theta),
-        objective=J,
-    )
-    return J, m
+        raise NoFeasibleRootError("all %d root candidates rejected by zeta"
+                                  % len(graph.ik_sets[root]))
+    J, s = best
+    theta = {u: graph.ik_sets[u][i] for u, i in enumerate(s.pick) if i >= 0}
+    tree = {(min(u, p), max(u, p)) for u, p in enumerate(s.parent) if p >= 0}
+    mean = np.array(list(theta.values())).mean(axis=0)
+    return J, GhaMap(theta, tree, root, theta[root], mean, J)
 
 
 def _cover(graphs: list[TaskGraph], params: DecompositionParams,

@@ -1,4 +1,3 @@
-import heapq
 import math
 import warnings
 
@@ -10,6 +9,7 @@ from armseq import (DecompositionParams, EmptyGraphError, GhaMap,
                     TaskPoint, config_distance, decompose,
                     decompose_mobile, generate_map, get_mapping, update,
                     verify_gha)
+from armseq.decomposition import _Sweep
 from armseq.serialize import map_to_dict
 
 
@@ -35,18 +35,18 @@ def params(**kw):
 def test_get_mapping_empty_filter():
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.5]]], [(0, 1)])
     # bound = eps + d_T = 0.35 + 0.1; candidate d_C = 0.5 >= 0.45 -> excluded
-    assert get_mapping(1, np.array([0.0]), 0, g, params(epsilon=0.35)) is None
+    assert get_mapping(1, np.array([0.0]), g.edges[(0, 1)], g, 0.35) is None
 
 
 def test_get_mapping_argmin():
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.2], [0.4]]], [(0, 1)])
-    q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=1.0))
+    i, l = get_mapping(1, np.array([0.0]), g.edges[(0, 1)], g, 1.0)
     assert l == pytest.approx(0.2)
-    assert q_u[0] == pytest.approx(0.2)
+    assert i == 0 and g.ik_sets[1][i][0] == pytest.approx(0.2)
     # equidistant candidates: the first one wins
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[-0.2], [0.2]]], [(0, 1)])
-    q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=1.0))
-    assert q_u[0] == -0.2 and l == 0.2
+    i, l = get_mapping(1, np.array([0.0]), g.edges[(0, 1)], g, 1.0)
+    assert i == 0 and l == 0.2
 
 
 def test_get_mapping_matches_loop_reference():
@@ -59,66 +59,55 @@ def test_get_mapping_matches_loop_reference():
         g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0, 0.0]], cands], [(0, 1)])
         bound = eps + g.edges[(0, 1)]
         best = None
-        for p in g.ik_sets[1]:
+        for i, p in enumerate(g.ik_sets[1]):
             l = config_distance(q_t, p)
             if l < bound and (best is None or l < best[1]):
-                best = (p, l)
-        got = get_mapping(1, q_t, 0, g, params(epsilon=eps))
-        if best is None:
-            assert got is None
-        else:
-            assert got[0] is best[0] and got[1] == best[1]
+                best = (i, l)
+        assert get_mapping(1, q_t, g.edges[(0, 1)], g, eps) == best
 
 
 def test_get_mapping_threshold_arithmetic():
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.449], [0.451]]], [(0, 1)])
-    q_u, l = get_mapping(1, np.array([0.0]), 0, g, params(epsilon=0.35))
-    assert q_u[0] == pytest.approx(0.449)  # 0.451 is filtered, 0.449 passes
+    i, l = get_mapping(1, np.array([0.0]), g.edges[(0, 1)], g, 0.35)
+    assert i == 0 and l == pytest.approx(0.449)  # 0.451 is filtered, 0.449 passes
 
 
 # ----------------------------------------------------------------------- update
 
+def sweep(g, node_pen=(0.0, 0.0), cand_pen=((0.0,), (0.0,))):
+    """Two-node sweep state with node 0 assigned its candidate 0."""
+    return _Sweep(list(g), [0, -1], [-1, -1], [], list(node_pen), [list(c) for c in cand_pen])
+
+
 def test_update_no_change_when_not_better():
-    g = np.array([0.0, 1.0])
-    theta = {0: np.array([0.0])}
-    parent = {}
-    queue = []
-    changed = update(queue, g, theta, parent, 1, 0, np.array([0.9]), 1.5, params())
-    assert not changed and g[1] == 1.0 and 1 not in theta and queue == []
+    s = sweep([0.0, 1.0])
+    changed = update(s, 1, 0, 0, 1.5)
+    assert not changed and s.g[1] == 1.0 and s.pick[1] == -1 and s.heap == []
 
 
 def test_update_assigns_fresh_node():
-    g = np.array([0.0, 5.0])
-    theta = {0: np.array([0.0])}
-    parent = {}
-    queue = []
-    changed = update(queue, g, theta, parent, 1, 0, np.array([0.7]), 0.7, params())
-    assert changed and g[1] == pytest.approx(0.7)
-    assert theta[1][0] == pytest.approx(0.7) and parent[1] == 0
-    assert queue == [(pytest.approx(0.7), 1)]
+    s = sweep([0.0, 5.0])
+    changed = update(s, 1, 0, 0, 0.7)
+    assert changed and s.g[1] == pytest.approx(0.7)
+    assert s.pick[1] == 0 and s.parent[1] == 0
+    assert s.heap == [(pytest.approx(0.7), 1)]
 
 
 def test_update_exploration_penalty():
-    g = np.array([0.0, 5.0])
-    theta = {0: np.array([0.0])}
-    omega = np.array([0, 1])
-    queue = []
-    update(queue, g, theta, {}, 1, 0, np.array([0.3]), 0.3,
-           params(rho=2.0), omega=omega)
-    assert g[1] == pytest.approx(2.3)  # l' = 0.3 + 2.0 * 1
+    g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.3]]], [(0, 1)])
+    J, _ = generate_map(g, 0, params(rho=2.0), omega=[5, 1])
+    assert J == pytest.approx(2.3)  # l' = 0.3 + 2.0 * 1; the root's count is never charged
+    s = sweep([0.0, 5.0], node_pen=(0.0, 2.0), cand_pen=((0.0,), (0.25,)))
+    update(s, 1, 0, 0, 0.3)
+    assert s.g[1] == ((0.3 + 2.0) + 0.25) + 0.0
 
 
 def test_update_mean_proximity_penalty_from_iteration_one():
-    theta = {0: np.array([0.0])}
-    q_avg0 = np.array([1.0])
-    g0 = np.array([0.0, 5.0])
-    update([], g0, dict(theta), {}, 1, 0, np.array([0.5]), 0.5,
-           params(rho_s=0.02), q_avg0=None)
-    assert g0[1] == pytest.approx(0.5)  # no first map yet (iteration 0): no penalty
-    g1 = np.array([0.0, 5.0])
-    update([], g1, dict(theta), {}, 1, 0, np.array([0.5]), 0.5,
-           params(rho_s=0.02), q_avg0=q_avg0)
-    assert g1[1] == pytest.approx(0.5 + 0.02 * 0.5)
+    g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.5]]], [(0, 1)])
+    J0, _ = generate_map(g, 0, params(rho_s=0.02), q_avg0=None)
+    assert J0 == pytest.approx(0.5)  # no first map yet (iteration 0): no penalty
+    J1, _ = generate_map(g, 0, params(rho_s=0.02), q_avg0=np.array([1.0]))
+    assert J1 == pytest.approx(0.5 + 0.02 * 0.5)
 
 
 # ----------------------------------------------------------------- generate_map
