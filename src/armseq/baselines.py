@@ -22,6 +22,10 @@ from .sequencer import (HOME, Leg, NoIkSolutionsError, SequencePlan,
 from .world import Scene
 
 
+MAX_ORACLE_TASKS = 6  # most tasks the brute-force oracle enumerates
+MAX_ORACLE_IK = 4  # most IK solutions per task it enumerates
+
+
 class TooLargeError(ValueError):
     """Instance exceeds the brute-force oracle's enumeration limits."""
 
@@ -152,18 +156,17 @@ def robotsp_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
 
 
 def gtsp_bruteforce(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
-                    cost: CostOracle, home_q=None, max_tasks: int = 6,
-                    max_ik: int = 4):
+                    cost: CostOracle, home_q=None):
     """Exhaustive optimum over IK assignments x permutations, anchored at home.
 
-    Refuses instances beyond ``max_tasks`` tasks or ``max_ik`` IK solutions per
-    task. Returns (assignment, permutation, cost).
+    Refuses instances beyond ``MAX_ORACLE_TASKS`` tasks or ``MAX_ORACLE_IK``
+    IK solutions per task. Returns (assignment, permutation, cost).
     """
-    if len(tasks) > max_tasks:
-        raise TooLargeError("instance has %d tasks; limit is %d" % (len(tasks), max_tasks))
+    if len(tasks) > MAX_ORACLE_TASKS:
+        raise TooLargeError("instance has %d tasks; limit is %d" % (len(tasks), MAX_ORACLE_TASKS))
     ik_sets = [_first_ik(arm, t, scene) for t in tasks]
-    if any(len(s) > max_ik for s in ik_sets):
-        raise TooLargeError("a task has more than %d IK solutions" % max_ik)
+    if any(len(s) > MAX_ORACLE_IK for s in ik_sets):
+        raise TooLargeError("a task has more than %d IK solutions" % MAX_ORACLE_IK)
     if home_q is None:
         home_q = _first_ik(arm, home_task, scene)[0]
     best_cost = math.inf

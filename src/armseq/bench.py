@@ -25,6 +25,7 @@ from .serialize import SCHEMA_VERSION, Scenario, jsonable
 from .taskgraph import build_graph, build_task_grid
 
 METHODS = ("subspace", "subspace_noseed", "naive", "robotsp")
+MAX_ATTEMPTS_PER_TASK = 400  # rejection-sampling draws per requested task
 
 
 def build_decomposition(scenario: Scenario) -> Decomposition:
@@ -46,8 +47,7 @@ def verify_decomposition(dec: Decomposition, epsilon: float):
     return [verify_gha(m, dec.graph_for(m), epsilon) for m in dec.maps]
 
 
-def sample_tasks(scenario: Scenario, count: int, rng: np.random.Generator,
-                 max_attempts_per_task: int = 400) -> list[TaskPoint]:
+def sample_tasks(scenario: Scenario, count: int, rng: np.random.Generator) -> list[TaskPoint]:
     """Uniform rejection sampling over the grid region, keeping IK-feasible points."""
     xmin, ymin, xmax, ymax = scenario.grid_region
     scene = scenario.full_scene()
@@ -55,7 +55,7 @@ def sample_tasks(scenario: Scenario, count: int, rng: np.random.Generator,
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > max_attempts_per_task * count:
+        if attempts > MAX_ATTEMPTS_PER_TASK * count:
             raise RuntimeError("task sampling failed: region mostly unreachable")
         p = TaskPoint((float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))))
         if ik_solutions(scenario.arm, p, scene):

@@ -104,11 +104,10 @@ class Decomposition:
 
 
 def get_mapping(u: int, q_t, d_t: float, graph: TaskGraph, epsilon: float):
-    """Candidate of an unassigned ``u`` reached from ``q_t`` over an edge of d_T ``d_t``.
+    """Index in ``graph.ik_sets[u]`` of u's IK candidate nearest to ``q_t``, and that d_C.
 
-    Among u's IK candidates p with d_C(q_t, p) < epsilon + d_t, returns the
-    index in ``graph.ik_sets[u]`` of the one nearest to q_t and that d_C, or
-    None when none passes (ties keep the earlier candidate).
+    Only candidates with d_C < epsilon + ``d_t`` (the edge's d_T) count; None
+    when none does. Ties keep the earlier candidate.
     """
     dist = np.abs(graph.ik_arrays[u] - q_t).max(axis=1)
     i = int(dist.argmin())

@@ -24,6 +24,11 @@ SOURCE_STRAIGHT = "straight_line"
 SOURCE_ADAPTED = "adapted"
 SOURCE_FALLBACK = "fallback"
 
+SUBDIVIDE = 0.5  # widest d_C span between adjacent seed waypoints before repair
+REPAIR_ATTEMPTS = 20  # perturbations per interior waypoint
+SHORTCUT_ATTEMPTS = 60  # random shortcut tries per adapted or fallback path
+EXTEND_STEP = 0.3  # d_C length of one fallback tree extension
+
 
 class SeedInvalidError(RuntimeError):
     """A seed segment stays in collision after local repair attempts."""
@@ -116,9 +121,7 @@ def _shortcut(waypoints, arm, scene, step, rng, attempts: int) -> list[np.ndarra
 
 
 def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
-                     step: float = 0.05, rng_seed: int = 0,
-                     shortcut_attempts: int = 60, subdivide: float = 0.5,
-                     repair_attempts: int = 20) -> Trajectory:
+                     step: float = 0.05, rng_seed: int = 0) -> Trajectory:
     """Adapt a seed to the online scene: repair, shortcut, straighten, prune.
 
     The result preserves both endpoints exactly, is collision-valid at
@@ -127,7 +130,7 @@ def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
     local repair budget (per-waypoint perturbations up to 0.2 rad).
     """
     rng = np.random.default_rng(rng_seed)
-    wps = _subdivided(seed.waypoints, subdivide)
+    wps = _subdivided(seed.waypoints, SUBDIVIDE)
     lo = np.array([l for l, _ in arm.joint_limits])
     hi = np.array([h for _, h in arm.joint_limits])
 
@@ -141,17 +144,17 @@ def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
     for i in range(1, len(wps) - 1):
         if config_valid(arm, wps[i], scene_online):
             continue
-        for _ in range(repair_attempts):
+        for _ in range(REPAIR_ATTEMPTS):
             cand = np.clip(wps[i] + rng.uniform(-0.2, 0.2, size=arm.dof), lo, hi)
             if config_valid(arm, cand, scene_online):
                 wps[i] = cand
                 break
         else:
             raise SeedInvalidError("waypoint %d stays in collision after %d repairs"
-                                   % (i, repair_attempts))
+                                   % (i, REPAIR_ATTEMPTS))
     # phase 2: repair remaining sweep collisions by nudging adjacent waypoints;
     # each interior waypoint gets its own perturbation budget
-    budget = [repair_attempts] * len(wps)
+    budget = [REPAIR_ATTEMPTS] * len(wps)
     bad = first_invalid()
     flip = 0
     while bad is not None:
@@ -168,12 +171,12 @@ def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
                 and motion_valid(arm, cand, wps[idx + 1], scene_online, step)):
             wps[idx] = cand
         bad = first_invalid()
-    wps = _shortcut(wps, arm, scene_online, step, rng, shortcut_attempts)
+    wps = _shortcut(wps, arm, scene_online, step, rng, SHORTCUT_ATTEMPTS)
     wps = _prune_collinear(wps)
     return Trajectory(wps, source=SOURCE_ADAPTED)
 
 
-def _extend(tree_pts, tree_parent, target, arm, scene, step, extend_step):
+def _extend(tree_pts, tree_parent, target, arm, scene, step):
     """Greedily grow a tree toward ``target``; returns index of last new node."""
     best = 0
     best_d = config_distance(tree_pts[0], target)
@@ -188,17 +191,17 @@ def _extend(tree_pts, tree_parent, target, arm, scene, step, extend_step):
         d = config_distance(q, target)
         if d == 0.0:
             return cur, True
-        if d <= extend_step:
+        if d <= EXTEND_STEP:
             q_new = target.copy()
         else:
-            q_new = q + (target - q) * (extend_step / d)
+            q_new = q + (target - q) * (EXTEND_STEP / d)
         if not motion_valid(arm, q, q_new, scene, step):
             return added, False
         tree_pts.append(q_new)
         tree_parent.append(cur)
         cur = len(tree_pts) - 1
         added = cur
-        if d <= extend_step:
+        if d <= EXTEND_STEP:
             return cur, True
 
 
@@ -211,8 +214,7 @@ def _chain(tree_pts, tree_parent, idx) -> list[np.ndarray]:
 
 
 def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
-                  timeout: float = 2.0, step: float = 0.05,
-                  rng_seed: int = 0, extend_step: float = 0.3) -> Trajectory:
+                  timeout: float = 2.0, step: float = 0.05, rng_seed: int = 0) -> Trajectory:
     """Bidirectional sampling-tree planner between exact endpoints.
 
     Uniform seeded sampling within the joint limits with greedy extension;
@@ -238,15 +240,15 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
     while time.monotonic() < deadline:
         q_rand = rng.uniform(lo, hi)
         pts_a, par_a = trees[a]
-        new_idx, _ = _extend(pts_a, par_a, q_rand, arm, scene, step, extend_step)
+        new_idx, _ = _extend(pts_a, par_a, q_rand, arm, scene, step)
         if new_idx is not None:
             pts_b, par_b = trees[1 - a]
-            meet, reached = _extend(pts_b, par_b, pts_a[new_idx], arm, scene, step, extend_step)
+            meet, reached = _extend(pts_b, par_b, pts_a[new_idx], arm, scene, step)
             if reached and meet is not None:
                 chain_a = _chain(pts_a, par_a, new_idx)
                 chain_b = _chain(pts_b, par_b, meet)
                 wps = chain_a + chain_b[-2::-1] if a == 0 else chain_b + chain_a[-2::-1]
-                wps = _shortcut(wps, arm, scene, step, rng, 60)
+                wps = _shortcut(wps, arm, scene, step, rng, SHORTCUT_ATTEMPTS)
                 wps = _prune_collinear(wps)
                 wps[0] = q_start.copy()
                 wps[-1] = q_goal.copy()

@@ -16,6 +16,7 @@ from .world import Box, Disc, Scene
 
 PALETTE = ["#2f9e44", "#1971c2", "#e8590c", "#9c36b5", "#c2a000", "#0ca678"]
 OVERLAP_FILL = "#1d5b2c"
+TRACE_STEP = 0.05  # widest d_C span between traced end-effector points
 
 
 def _f(x: float) -> str:
@@ -158,8 +159,7 @@ def render_decomposition_svg(dec: Decomposition, scene: Scene, arm: ArmModel) ->
     return cv.svg()
 
 
-def render_plan_svg(plan: SequencePlan, scene: Scene, arm: ArmModel,
-                    trace_step: float = 0.05) -> str:
+def render_plan_svg(plan: SequencePlan, scene: Scene, arm: ArmModel) -> str:
     """End-effector traces per leg with direction arrows, plus visited targets."""
     traces = []
     for leg in plan.legs:
@@ -167,7 +167,7 @@ def render_plan_svg(plan: SequencePlan, scene: Scene, arm: ArmModel,
         wps = leg.trajectory.waypoints
         for a, b in zip(wps, wps[1:]):
             d = float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
-            n = max(1, int(np.ceil(d / trace_step)))
+            n = max(1, int(np.ceil(d / TRACE_STEP)))
             for k in range(n):
                 tip, _ = forward_kinematics(arm, np.asarray(a) + (np.asarray(b) - np.asarray(a)) * (k / n))
                 pts.append((float(tip[0]), float(tip[1])))
