@@ -14,7 +14,7 @@ import time
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
 from .render import render_decomposition_svg, render_plan_svg
 from .sequencer import SequencingParams, adapt_plan, sequence
-from .serialize import (SchemaError, _pair, artifact_from_dict, artifact_to_dict,
+from .serialize import (SchemaError, _object, _pair, artifact_from_dict, artifact_to_dict,
                         dump_json, load_json, load_scenario, plan_from_dict,
                         plan_to_dict)
 
@@ -93,7 +93,7 @@ def cmd_bench(args) -> int:
 
 def cmd_render(args) -> int:
     data = load_json(args.artifact)
-    kind = data.get("kind")
+    kind = _object(data, "artifact").get("kind")
     if kind == "decomposition":
         dec, scenario = artifact_from_dict(data)
         svg = render_decomposition_svg(dec, scenario.scene, scenario.arm)

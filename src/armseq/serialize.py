@@ -39,6 +39,12 @@ def _field(value, kind, path):
     return value
 
 
+def _object(value, path) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError("%s: expected an object" % path)
+    return value
+
+
 def _req(mapping, key, kind, path):
     if not isinstance(mapping, dict) or key not in mapping:
         raise SchemaError("%s.%s: missing required field" % (path, key))
@@ -47,9 +53,7 @@ def _req(mapping, key, kind, path):
 
 def _opt(mapping, key, kind, default, path):
     """Like :func:`_req`, but an absent field gives ``default``."""
-    if not isinstance(mapping, dict):
-        raise SchemaError("%s: expected an object" % path)
-    if key not in mapping:
+    if key not in _object(mapping, path):
         return default
     return _field(mapping[key], kind, "%s.%s" % (path, key))
 
@@ -70,12 +74,14 @@ def dumps(obj) -> str:
 
 
 def load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("%s: line %d column %d: %s"
-                              % (path, exc.lineno, exc.colno, exc.msg)) from exc
+    except OSError as exc:
+        raise SchemaError("%s: %s" % (path, exc.strerror)) from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError("%s: line %d column %d: %s"
+                          % (path, exc.lineno, exc.colno, exc.msg)) from exc
 
 
 # ---------------------------------------------------------------- obstacles
@@ -188,7 +194,7 @@ class Scenario:
 
     def __init__(self, data: dict):
         path = "scenario"
-        if data.get("schema_version") != SCHEMA_VERSION:
+        if _object(data, path).get("schema_version") != SCHEMA_VERSION:
             raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
         self.seed = _req(data, "seed", int, path)
         self.arm = arm_from_dict(_req(data, "arm", dict, path), path + ".arm")
@@ -261,21 +267,38 @@ def graph_to_dict(g: TaskGraph) -> dict:
     }
 
 
-def graph_from_dict(d, path="graph") -> TaskGraph:
-    base_index = d.get("base_index")
+def _config(value, dof, path) -> list[float]:
+    if not isinstance(value, list) or len(value) != dof:
+        raise SchemaError("%s: expected a configuration of %d finite numbers" % (path, dof))
+    return [_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)]
+
+
+def graph_from_dict(d, dof: int, path="graph") -> TaskGraph:
+    """Task graph of an arm with ``dof`` joints; edges are [i, j, d_T] with i < j."""
+    base_index = _object(d, path).get("base_index")
+    if base_index is not None:
+        _field(base_index, int, path + ".base_index")
     nodes = [TaskPoint(_pair(p, "%s.nodes[%d]" % (path, i)), base_index=base_index)
              for i, p in enumerate(_req(d, "nodes", list, path))]
+    sets = _req(d, "ik_sets", list, path)
+    if len(sets) != len(nodes):
+        raise SchemaError("%s.ik_sets: expected %d sets, one per node" % (path, len(nodes)))
     ik_sets = []
-    for i, sols in enumerate(_req(d, "ik_sets", list, path)):
+    for i, sols in enumerate(sets):
         p = "%s.ik_sets[%d]" % (path, i)
-        if (not isinstance(sols, list) or not sols
-                or any(not isinstance(q, list) or len(q) != len(sols[0]) for q in sols)):
-            raise SchemaError("%s: expected a nonempty list of equal-length configurations" % p)
-        ik_sets.append([[_field(v, float, "%s[%d][%d]" % (p, j, k)) for k, v in enumerate(q)]
-                        for j, q in enumerate(sols)])
+        if not isinstance(sols, list) or not sols:
+            raise SchemaError("%s: expected a nonempty list of configurations" % p)
+        ik_sets.append([_config(q, dof, "%s[%d]" % (p, j)) for j, q in enumerate(sols)])
     edges = {}
-    for i, j, w in _req(d, "edges", list, path):
-        edges[(int(i), int(j))] = float(w)
+    for k, e in enumerate(_req(d, "edges", list, path)):
+        p = "%s.edges[%d]" % (path, k)
+        if not isinstance(e, list) or len(e) != 3:
+            raise SchemaError("%s: expected [i, j, d_T]" % p)
+        i, j = _field(e[0], int, p + "[0]"), _field(e[1], int, p + "[1]")
+        w = _field(e[2], float, p + "[2]")
+        if not 0 <= i < j < len(nodes) or w < 0:
+            raise SchemaError("%s: expected nodes 0 <= i < j < %d and d_T >= 0" % (p, len(nodes)))
+        edges[(i, j)] = w
     return TaskGraph(nodes, ik_sets, edges, _req(d, "connection_radius", float, path))
 
 
@@ -294,17 +317,43 @@ def map_to_dict(m: GhaMap) -> dict:
     }
 
 
-def map_from_dict(d, path="map") -> GhaMap:
+def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
+    """Map on ``graphs[base_index]``, where ``graphs`` maps each allowed base index
+    (None for a single-graph artifact) to its task graph."""
+    base_index = _object(d, path).get("base_index")
+    if not (base_index is None or type(base_index) is int) or base_index not in graphs:
+        raise SchemaError("%s.base_index: expected one of %s" % (path, list(graphs)))
+    graph = graphs[base_index]
+    assignment = {}
+    for key, q in _req(d, "assignment", dict, path).items():
+        p = "%s.assignment.%s" % (path, key)
+        if not key.isdecimal() or str(int(key)) != key or int(key) >= len(graph):
+            raise SchemaError("%s: expected a node index below %d" % (p, len(graph)))
+        assignment[int(key)] = np.array(_config(q, dof, p))
+    tree_edges = set()
+    for k, e in enumerate(_req(d, "tree_edges", list, path)):
+        p = "%s.tree_edges[%d]" % (path, k)
+        if not isinstance(e, list) or len(e) != 2:
+            raise SchemaError("%s: expected [a, b]" % p)
+        a, b = _field(e[0], int, p + "[0]"), _field(e[1], int, p + "[1]")
+        if (a, b) not in graph.edges or a not in assignment or b not in assignment:
+            raise SchemaError("%s: expected a graph edge a < b between assigned nodes" % p)
+        tree_edges.add((a, b))
+    root = _req(d, "root", int, path)
+    if root not in assignment:
+        raise SchemaError("%s.root: expected an assigned node" % path)
+    pose = d.get("base_pose")
     return GhaMap(
-        assignment={int(i): np.array(q, dtype=float)
-                    for i, q in _req(d, "assignment", dict, path).items()},
-        tree_edges={(int(a), int(b)) for a, b in _req(d, "tree_edges", list, path)},
-        root=int(_req(d, "root", int, path)),
-        root_config=np.array(d["root_config"], dtype=float),
-        mean_config=np.array(d["mean_config"], dtype=float),
+        assignment=assignment,
+        tree_edges=tree_edges,
+        root=root,
+        root_config=np.array(_config(_req(d, "root_config", list, path), dof,
+                                     path + ".root_config")),
+        mean_config=np.array(_config(_req(d, "mean_config", list, path), dof,
+                                     path + ".mean_config")),
         objective=_req(d, "objective", float, path),
-        base_pose=None if d.get("base_pose") is None else tuple(d["base_pose"]),
-        base_index=d.get("base_index"),
+        base_pose=None if pose is None else _pair(pose, path + ".base_pose"),
+        base_index=base_index,
     )
 
 
@@ -340,23 +389,29 @@ def artifact_to_dict(dec: Decomposition, scenario_raw: dict,
 
 def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
     path = "artifact"
-    if d.get("kind") != "decomposition":
+    if _object(d, path).get("kind") != "decomposition":
         raise SchemaError("%s.kind: expected 'decomposition'" % path)
     if d.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
     scenario = Scenario(_req(d, "scenario", dict, path))
     params = params_from_dict(_req(d, "params", dict, path), path + ".params")
-    maps = [map_from_dict(m, "%s.maps[%d]" % (path, i))
-            for i, m in enumerate(_req(d, "maps", list, path))]
     coverage = _req(d, "coverage", float, path)
+    dof = scenario.arm.dof
     if "base_graphs" in d:
-        graphs = [graph_from_dict(g, "%s.base_graphs[%d]" % (path, i))
-                  for i, g in enumerate(d["base_graphs"])]
-        poses = [tuple(b) for b in d["base_poses"]]
-        dec = Decomposition(maps, None, params, coverage, graphs, poses)
+        graphs = [graph_from_dict(g, dof, "%s.base_graphs[%d]" % (path, i))
+                  for i, g in enumerate(_req(d, "base_graphs", list, path))]
+        poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
+                 for i, b in enumerate(_req(d, "base_poses", list, path))]
+        if len(poses) != len(graphs):
+            raise SchemaError("%s.base_poses: expected %d poses, one per base graph"
+                              % (path, len(graphs)))
+        dec = Decomposition([], None, params, coverage, graphs, poses)
     else:
-        dec = Decomposition(maps, graph_from_dict(_req(d, "graph", dict, path), path + ".graph"),
-                            params, coverage)
+        dec = Decomposition([], graph_from_dict(_req(d, "graph", dict, path), dof,
+                                                path + ".graph"), params, coverage)
+    by_base = {None: dec.graph} if dec.base_graphs is None else dict(enumerate(dec.base_graphs))
+    dec.maps = [map_from_dict(m, by_base, dof, "%s.maps[%d]" % (path, i))
+                for i, m in enumerate(_req(d, "maps", list, path))]
     return dec, scenario
 
 

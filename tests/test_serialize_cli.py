@@ -44,7 +44,7 @@ def test_scenario_schema_errors(scenario_json):
 
 def test_graph_round_trip(tabletop_graph):
     d = graph_to_dict(tabletop_graph)
-    g2 = graph_from_dict(json.loads(json.dumps(d)))
+    g2 = graph_from_dict(json.loads(json.dumps(d)), dof=2)
     assert graph_to_dict(g2) == d
     assert len(g2) == len(tabletop_graph)
     assert g2.edges == tabletop_graph.edges
@@ -160,6 +160,57 @@ def test_cli_rejects_malformed_artifact_ik_set(workdir, artifact_path, capsys, i
     assert "Traceback" not in err
 
 
+def _set(*keys_value):
+    """Artifact edit that sets the entry at ``keys`` to ``value``."""
+    *keys, value = keys_value
+
+    def edit(art):
+        block = art
+        for k in keys[:-1]:
+            block = block[k]
+        block[keys[-1]] = value
+    return edit
+
+
+def _first_assigned(art):
+    return sorted(art["maps"][0]["assignment"], key=int)[0]
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("graph.edges[0]", _set("graph", "edges", 0, [0, 1])),
+    ("graph.edges[0]", _set("graph", "edges", 0, [1, 0, 0.1])),
+    ("graph.edges[0]", _set("graph", "edges", 0, [0, 99999, 0.1])),
+    ("graph.edges[0][2]", _set("graph", "edges", 0, [0, 1, "x"])),
+    ("graph.ik_sets", lambda art: art["graph"]["ik_sets"].pop()),
+    ("graph.ik_sets[3][0]", _set("graph", "ik_sets", 3, [[0.1, 0.2, 0.3]])),
+    ("maps[0].assignment.", lambda art: art["maps"][0]["assignment"].update(
+        {_first_assigned(art): [0.1]})),
+    ("maps[0].assignment.x", lambda art: art["maps"][0]["assignment"].update(x=[0.1, 0.2])),
+    ("maps[0].assignment.99999", lambda art: art["maps"][0]["assignment"].update(
+        {"99999": [0.1, 0.2]})),
+    ("maps[0].tree_edges[0]", _set("maps", 0, "tree_edges", 0, [0, 99999])),
+    ("maps[0].tree_edges[0]", _set("maps", 0, "tree_edges", 0, "x")),
+    ("maps[0].tree_edges[0][0]", _set("maps", 0, "tree_edges", 0, [0.5, 1])),
+    ("maps[0].root", _set("maps", 0, "root", 99999)),
+    ("maps[0].root_config", _set("maps", 0, "root_config", "x")),
+    ("maps[0].mean_config", _set("maps", 0, "mean_config", [0.1])),
+    ("maps[0].base_index", _set("maps", 0, "base_index", 0)),
+    ("maps[0]", _set("maps", 0, [])),
+], ids=["edge-pair", "edge-reversed", "edge-node-range", "edge-weight", "ik-set-count",
+        "ik-set-dof", "assignment-row", "assignment-key", "assignment-key-range",
+        "tree-edge-range", "tree-edge-text", "tree-edge-float", "root-range",
+        "root-config-text", "mean-config-dof", "base-index", "map-list"])
+def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, edit):
+    art = load_json(artifact_path)
+    edit(art)
+    bad_path = workdir / "bad_artifact.json"
+    bad_path.write_text(json.dumps(art))
+    assert main(["verify", "--artifact", str(bad_path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: artifact." + where in err
+    assert "Traceback" not in err
+
+
 def test_cli_sequence_empty_tasks(workdir, artifact_path):
     tasks = workdir / "tasks_empty.json"
     tasks.write_text(dumps({"tasks": []}))
@@ -250,6 +301,22 @@ def test_cli_input_errors(scenario_json, workdir, capsys):
     err = capsys.readouterr().err
     assert "spacing" in err
     assert main(["verify", "--artifact", str(workdir / "missing.json")]) == 1
+    # a file holding a list, or a directory, is no scenario or artifact
+    listed = workdir / "list.json"
+    listed.write_text("[]")
+    out = str(workdir / "x.json")
+    for argv, message in [
+        (["decompose", "--scenario", str(listed), "--out", out], "scenario: expected an object"),
+        (["bench", "--scenario", str(listed), "--out", out], "scenario: expected an object"),
+        (["verify", "--artifact", str(listed)], "artifact: expected an object"),
+        (["render", "--artifact", str(listed), "--out", out], "artifact: expected an object"),
+        (["sequence", "--artifact", str(listed), "--tasks", str(listed), "--out", out],
+         "artifact: expected an object"),
+        (["decompose", "--scenario", str(workdir), "--out", out], "Is a directory"),
+    ]:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "input error: " in err and message in err
 
 
 @pytest.mark.parametrize("task", ['["x", 1]', "[1.0]", "[NaN, 0.5]", "[0.5, Infinity]",
