@@ -136,6 +136,7 @@ def update(s: _Sweep, u: int, t: int, i: int, l: float) -> bool:
     Penalties enter path costs only (the edge was already screened against
     the raw epsilon condition), and a node keeps its first candidate.
     """
+    # artifacts depend on path costs bit for bit, so this summation order is fixed
     cand = ((l + s.node_pen[u]) + s.cand_pen[u][i]) + s.g[t]
     if cand < s.g[u]:
         if s.pick[u] < 0:

@@ -86,11 +86,13 @@ def test_update_no_change_when_not_better():
 
 
 def test_update_assigns_fresh_node():
-    s = sweep([0.0, 5.0])
+    s = sweep([0.0, 5.0], cand_pen=((0.0,), (0.0, 0.0)))
     changed = update(s, 1, 0, 0, 0.7)
     assert changed and s.g[1] == pytest.approx(0.7)
     assert s.pick[1] == 0 and s.parent[1] == 0
     assert s.heap == [(pytest.approx(0.7), 1)]
+    # a cheaper edge later lowers the cost but never replaces the first candidate
+    assert update(s, 1, 0, 1, 0.5) and s.g[1] == 0.5 and s.pick[1] == 0
 
 
 def test_update_exploration_penalty():
