@@ -267,10 +267,10 @@ def graph_to_dict(g: TaskGraph) -> dict:
     }
 
 
-def _config(value, dof, path) -> list[float]:
+def _config(value, dof, path) -> np.ndarray:
     if not isinstance(value, list) or len(value) != dof:
         raise SchemaError("%s: expected a configuration of %d finite numbers" % (path, dof))
-    return [_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)]
+    return np.array([_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)])
 
 
 def graph_from_dict(d, dof: int, path="graph") -> TaskGraph:
@@ -329,7 +329,7 @@ def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
         p = "%s.assignment.%s" % (path, key)
         if not key.isdecimal() or str(int(key)) != key or int(key) >= len(graph):
             raise SchemaError("%s: expected a node index below %d" % (p, len(graph)))
-        assignment[int(key)] = np.array(_config(q, dof, p))
+        assignment[int(key)] = _config(q, dof, p)
     tree_edges = set()
     for k, e in enumerate(_req(d, "tree_edges", list, path)):
         p = "%s.tree_edges[%d]" % (path, k)
@@ -347,10 +347,8 @@ def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
         assignment=assignment,
         tree_edges=tree_edges,
         root=root,
-        root_config=np.array(_config(_req(d, "root_config", list, path), dof,
-                                     path + ".root_config")),
-        mean_config=np.array(_config(_req(d, "mean_config", list, path), dof,
-                                     path + ".mean_config")),
+        root_config=_config(d.get("root_config"), dof, path + ".root_config"),
+        mean_config=_config(d.get("mean_config"), dof, path + ".mean_config"),
         objective=_req(d, "objective", float, path),
         base_pose=None if pose is None else _pair(pose, path + ".base_pose"),
         base_index=base_index,
