@@ -1,7 +1,7 @@
-"""The map search against a frozen copy of its dict-based form.
+"""The map search against a frozen dict-based reference.
 
-The reference below is the search as it stood with θ held in a dict and both
-penalties priced on every relaxation. ``generate_map`` must give the same
+The reference below holds θ in a dict and prices both penalties on every
+relaxation with ``config_distance``. ``generate_map`` must give the same
 assignment rows, tree, objective and mean configuration, and fail with the
 same ``NoFeasibleRootError``, on synthetic graphs whose positions and IK
 candidates lie on a 0.25 lattice, so that equal distances, equal path costs
@@ -122,7 +122,7 @@ def search_cases(draw):
         zeta=draw(st.sampled_from([None, 0.25, 0.5, 1.0])),
     )
     omega = draw(st.one_of(st.none(), st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    q_avg0 = draw(st.one_of(st.none(), st.builds(np.array, st.just(_lattice(draw, dof)))))
+    q_avg0 = np.array(_lattice(draw, dof)) if draw(st.booleans()) else None
     root = draw(st.integers(0, n - 1))
     return graph, root, params, omega, q_avg0
 
