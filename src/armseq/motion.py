@@ -99,9 +99,9 @@ def _prune_collinear(waypoints) -> list[np.ndarray]:
     return pruned
 
 
-def _shortcut(waypoints, arm, scene, step, rng, attempts: int) -> list[np.ndarray]:
+def _shortcut(waypoints, arm, scene, step, rng) -> list[np.ndarray]:
     wps = list(waypoints)
-    for _ in range(attempts):
+    for _ in range(SHORTCUT_ATTEMPTS):
         if len(wps) < 3:
             break
         i = int(rng.integers(0, len(wps) - 2))
@@ -171,7 +171,7 @@ def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
                 and motion_valid(arm, cand, wps[idx + 1], scene_online, step)):
             wps[idx] = cand
         bad = first_invalid()
-    wps = _shortcut(wps, arm, scene_online, step, rng, SHORTCUT_ATTEMPTS)
+    wps = _shortcut(wps, arm, scene_online, step, rng)
     wps = _prune_collinear(wps)
     return Trajectory(wps, source=SOURCE_ADAPTED)
 
@@ -248,7 +248,7 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
                 chain_a = _chain(pts_a, par_a, new_idx)
                 chain_b = _chain(pts_b, par_b, meet)
                 wps = chain_a + chain_b[-2::-1] if a == 0 else chain_b + chain_a[-2::-1]
-                wps = _shortcut(wps, arm, scene, step, rng, SHORTCUT_ATTEMPTS)
+                wps = _shortcut(wps, arm, scene, step, rng)
                 wps = _prune_collinear(wps)
                 wps[0] = q_start.copy()
                 wps[-1] = q_goal.copy()
