@@ -147,8 +147,8 @@ def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
 
 
 @pytest.mark.parametrize("ik_set", [[[0.1, 0.2], [0.3]], [["x", 0.2]], [[None, 0.2]],
-                                    [[True, 0.2]], [], [0.1, 0.2], "x"],
-                         ids=["ragged", "string", "null", "bool", "empty", "flat", "text"])
+                                    [[True, 0.2]], [], [0.1, 0.2], "x", [[0.1, 0.2, 0.3]]],
+                         ids=["ragged", "string", "null", "bool", "empty", "flat", "text", "dof"])
 def test_cli_rejects_malformed_artifact_ik_set(workdir, artifact_path, capsys, ik_set):
     art = load_json(artifact_path)
     art["graph"]["ik_sets"][3] = ik_set
@@ -182,7 +182,6 @@ def _first_assigned(art):
     ("graph.edges[0]", _set("graph", "edges", 0, [0, 99999, 0.1])),
     ("graph.edges[0][2]", _set("graph", "edges", 0, [0, 1, "x"])),
     ("graph.ik_sets", lambda art: art["graph"]["ik_sets"].pop()),
-    ("graph.ik_sets[3][0]", _set("graph", "ik_sets", 3, [[0.1, 0.2, 0.3]])),
     ("maps[0].assignment.", lambda art: art["maps"][0]["assignment"].update(
         {_first_assigned(art): [0.1]})),
     ("maps[0].assignment.x", lambda art: art["maps"][0]["assignment"].update(x=[0.1, 0.2])),
@@ -197,7 +196,7 @@ def _first_assigned(art):
     ("maps[0].base_index", _set("maps", 0, "base_index", 0)),
     ("maps[0]", _set("maps", 0, [])),
 ], ids=["edge-pair", "edge-reversed", "edge-node-range", "edge-weight", "ik-set-count",
-        "ik-set-dof", "assignment-row", "assignment-key", "assignment-key-range",
+        "assignment-row", "assignment-key", "assignment-key-range",
         "tree-edge-range", "tree-edge-text", "tree-edge-float", "root-range",
         "root-config-text", "mean-config-dof", "base-index", "map-list"])
 def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, edit):
