@@ -7,9 +7,8 @@ simple scene.
 
 import numpy as np
 
-from armseq import (ArmModel, Box, Disc, Scene, TaskPoint, config_distance,
-                    config_valid, forward_kinematics, ik_solutions,
-                    motion_valid, task_distance)
+from armseq import (ArmModel, Box, Checker, Disc, Scene, TaskPoint, config_distance,
+                    forward_kinematics, ik_solutions, task_distance)
 
 arm = ArmModel(
     link_lengths=(1.0, 1.0),
@@ -36,6 +35,8 @@ print("d_C:", config_distance(qa, qb), " d_T:",
 # obstacles remove IK branches and invalidate sweeps
 cluttered = Scene((Box(1.2, 1.2, 1.7, 1.7), Disc((-0.9, 0.4), 0.15)))
 print("solutions in clutter:", len(ik_solutions(arm, target, cluttered)))
-print("config (0, 0) valid:", config_valid(arm, np.array([0.0, 0.0]), cluttered))
+# one checker answers both validity questions for this arm in this scene
+check = Checker(arm, cluttered)
+print("config (0, 0) valid:", check.valid(np.array([0.0, 0.0])))
 print("straight sweep to (pi/2, 0) valid:",
-      motion_valid(arm, np.array([0.0, 0.0]), np.array([np.pi / 2, 0.0]), cluttered))
+      check.motion(np.array([0.0, 0.0]), np.array([np.pi / 2, 0.0])))

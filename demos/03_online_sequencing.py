@@ -9,7 +9,7 @@ jumps; matching against the stored maps keeps the branch consistent.
 import os
 import warnings
 
-from armseq import (CostOracle, SequencingParams, adapt_plan, build_graph,
+from armseq import (Checker, CostOracle, SequencingParams, adapt_plan, build_graph,
                     build_task_grid, decompose, naive_sequence,
                     plan_visit_cost, robotsp_sequence, sequence)
 from armseq.render import render_plan_svg
@@ -36,7 +36,7 @@ robotsp = robotsp_sequence(tasks, scenario.arm, scenario.scene, scenario.home_ta
                            home_q=plan.home_config)
 
 # every method is costed by the same oracle: adapted straight-seed legs
-oracle = CostOracle(scenario.arm, scenario.scene, rng_seed=scenario.seed)
+oracle = CostOracle(Checker(scenario.arm, scenario.scene), rng_seed=scenario.seed)
 for name, p in (("subspace", plan), ("naive", naive), ("robotsp", robotsp)):
     print("%-9s total cost %.3f" % (name, plan_visit_cost(p, oracle)))
 

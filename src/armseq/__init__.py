@@ -23,12 +23,12 @@ from .sequencer import (HOME, DisconnectedError, Leg, NoIkSolutionsError,
                         home_config, intra_subspace_trajectory, match_task,
                         sequence, solve_tsp)
 from .taskgraph import IslandWarning, TaskGraph, build_graph, build_task_grid
-from .world import Box, Disc, Scene, config_valid, motion_valid
+from .world import Box, Checker, Disc, Scene, config_valid, motion_valid
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmModel", "Box", "CostOracle", "Decomposition", "DecompositionParams",
+    "ArmModel", "Box", "Checker", "CostOracle", "Decomposition", "DecompositionParams",
     "Disc", "DisconnectedError", "EmptyGraphError", "GhaMap", "GhaVerification",
     "HOME", "IslandWarning", "Leg", "NoFeasibleRootError", "NoIkSolutionsError",
     "NoProgressWarning", "PlanningTimeoutError", "Scene", "SeedInvalidError",

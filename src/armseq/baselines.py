@@ -19,7 +19,7 @@ from .kinematics import ArmModel, TaskPoint, ik_solutions, task_distance
 from .motion import Trajectory, plan_leg
 from .sequencer import (HOME, Leg, NoIkSolutionsError, SequencePlan,
                         _straight_leg, solve_tsp)
-from .world import Scene
+from .world import Checker, Scene
 
 
 MAX_ORACLE_TASKS = 6  # most tasks the brute-force oracle enumerates
@@ -39,9 +39,7 @@ class CostOracle:
     value is independent of query order. Unplannable legs cost infinity.
     """
 
-    arm: ArmModel
-    scene: Scene
-    step: float = 0.05
+    check: Checker
     rng_seed: int = 0
     timeout: float = 2.0
     _cache: dict = field(default_factory=dict, repr=False)
@@ -56,8 +54,7 @@ class CostOracle:
             lo, hi = np.array(key[0]), np.array(key[1])
             pair_seed = zlib.crc32(np.array(key, dtype=float).tobytes())
             leg_seed = (self.rng_seed * 1_000_003 + pair_seed) % (2 ** 63)
-            traj = plan_leg(_straight_leg(lo, hi), self.arm, self.scene, self.step,
-                            leg_seed, self.timeout)
+            traj = plan_leg(_straight_leg(lo, hi), self.check, leg_seed, self.timeout)
             cost = traj.length() if traj is not None else math.inf
             self._cache[key] = (cost, traj)
         cost, traj = self._cache[key]

@@ -23,6 +23,7 @@ from .kinematics import TaskPoint, ik_solutions
 from .sequencer import SequencingParams, adapt_plan, home_config, sequence
 from .serialize import SCHEMA_VERSION, Scenario, jsonable
 from .taskgraph import build_graph, build_task_grid
+from .world import Checker
 
 METHODS = ("subspace", "subspace_noseed", "naive", "robotsp")
 MAX_ATTEMPTS_PER_TASK = 400  # rejection-sampling draws per requested task
@@ -105,8 +106,7 @@ def run_trial(scenario: Scenario, dec: Decomposition, tasks, trial_seed: int,
     arm = scenario.arm
     seq_params = SequencingParams(scenario.k, scenario.threshold)
     home_q = home_config(dec, scenario.home_task, arm, scene)
-    oracle = CostOracle(arm, scene, scenario.step, rng_seed=trial_seed,
-                        timeout=scenario.timeout)
+    oracle = CostOracle(Checker(arm, scene, scenario.step), trial_seed, scenario.timeout)
     rows = []
     for method in METHODS:
         t0 = time.perf_counter()

@@ -101,7 +101,7 @@ def cmd_render(args) -> int:
         if args.scenario is None:
             raise SchemaError("render: --scenario is required for plan records")
         scenario = _load_scenario(args.scenario, None)
-        plan = plan_from_dict(data)
+        plan = plan_from_dict(data, scenario.arm.dof)
         svg = render_plan_svg(plan, scenario.full_scene(), scenario.arm)
     else:
         raise SchemaError("render: input kind must be 'decomposition' or 'plan'")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import ArmModel, config_distance
-from .world import Scene, config_valid, motion_valid
+from .kinematics import config_distance
+from .world import Checker
 
 SOURCE_SUBSPACE = "subspace_seed"
 SOURCE_STRAIGHT = "straight_line"
@@ -99,54 +99,52 @@ def _prune_collinear(waypoints) -> list[np.ndarray]:
     return pruned
 
 
-def _shortcut(waypoints, arm, scene, step, rng) -> list[np.ndarray]:
+def _shortcut(waypoints, check: Checker, rng) -> list[np.ndarray]:
     wps = list(waypoints)
     for _ in range(SHORTCUT_ATTEMPTS):
         if len(wps) < 3:
             break
         i = int(rng.integers(0, len(wps) - 2))
         j = int(rng.integers(i + 2, len(wps)))
-        if motion_valid(arm, wps[i], wps[j], scene, step):
+        if check.motion(wps[i], wps[j]):
             wps = wps[: i + 1] + wps[j:]
     # greedy pass: from each kept waypoint jump as far ahead as validity allows
     out = [wps[0]]
     i = 0
     while i < len(wps) - 1:
         j = len(wps) - 1
-        while j > i + 1 and not motion_valid(arm, wps[i], wps[j], scene, step):
+        while j > i + 1 and not check.motion(wps[i], wps[j]):
             j -= 1
         out.append(wps[j])
         i = j
     return out
 
 
-def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
-                     step: float = 0.05, rng_seed: int = 0) -> Trajectory:
-    """Adapt a seed to the online scene: repair, shortcut, straighten, prune.
+def adapt_trajectory(seed: Trajectory, check: Checker, rng_seed: int = 0) -> Trajectory:
+    """Adapt a seed to the checker's scene: repair, shortcut, straighten, prune.
 
-    The result preserves both endpoints exactly, is collision-valid at
-    resolution ``step`` and never exceeds the config length of a valid seed.
+    The result preserves both endpoints exactly, passes ``check.motion`` on
+    every segment and never exceeds the config length of a valid seed.
     Raises :class:`SeedInvalidError` when a colliding segment survives the
     local repair budget (per-waypoint perturbations up to 0.2 rad).
     """
     rng = np.random.default_rng(rng_seed)
     wps = _subdivided(seed.waypoints, SUBDIVIDE)
-    lo = np.array([l for l, _ in arm.joint_limits])
-    hi = np.array([h for _, h in arm.joint_limits])
+    lo, hi = np.array(check.arm.joint_limits).T
 
     def first_invalid():
         for k in range(len(wps) - 1):
-            if not motion_valid(arm, wps[k], wps[k + 1], scene_online, step):
+            if not check.motion(wps[k], wps[k + 1]):
                 return k
         return None
 
     # phase 1: every interior waypoint must itself be collision-free
     for i in range(1, len(wps) - 1):
-        if config_valid(arm, wps[i], scene_online):
+        if check.valid(wps[i]):
             continue
         for _ in range(REPAIR_ATTEMPTS):
-            cand = np.clip(wps[i] + rng.uniform(-0.2, 0.2, size=arm.dof), lo, hi)
-            if config_valid(arm, cand, scene_online):
+            cand = np.clip(wps[i] + rng.uniform(-0.2, 0.2, size=check.arm.dof), lo, hi)
+            if check.valid(cand):
                 wps[i] = cand
                 break
         else:
@@ -165,18 +163,17 @@ def adapt_trajectory(seed: Trajectory, arm: ArmModel, scene_online: Scene,
         idx = interior[flip % len(interior)]
         flip += 1
         budget[idx] -= 1
-        cand = np.clip(wps[idx] + rng.uniform(-0.2, 0.2, size=arm.dof), lo, hi)
-        if (config_valid(arm, cand, scene_online)
-                and motion_valid(arm, wps[idx - 1], cand, scene_online, step)
-                and motion_valid(arm, cand, wps[idx + 1], scene_online, step)):
+        cand = np.clip(wps[idx] + rng.uniform(-0.2, 0.2, size=check.arm.dof), lo, hi)
+        if (check.valid(cand) and check.motion(wps[idx - 1], cand)
+                and check.motion(cand, wps[idx + 1])):
             wps[idx] = cand
         bad = first_invalid()
-    wps = _shortcut(wps, arm, scene_online, step, rng)
+    wps = _shortcut(wps, check, rng)
     wps = _prune_collinear(wps)
     return Trajectory(wps, source=SOURCE_ADAPTED)
 
 
-def _extend(tree_pts, tree_parent, target, arm, scene, step):
+def _extend(tree_pts, tree_parent, target, check: Checker):
     """Greedily grow a tree toward ``target``; returns index of last new node."""
     best = 0
     best_d = config_distance(tree_pts[0], target)
@@ -195,7 +192,7 @@ def _extend(tree_pts, tree_parent, target, arm, scene, step):
             q_new = target.copy()
         else:
             q_new = q + (target - q) * (EXTEND_STEP / d)
-        if not motion_valid(arm, q, q_new, scene, step):
+        if not check.motion(q, q_new):
             return added, False
         tree_pts.append(q_new)
         tree_parent.append(cur)
@@ -213,8 +210,8 @@ def _chain(tree_pts, tree_parent, idx) -> list[np.ndarray]:
     return out[::-1]
 
 
-def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
-                  timeout: float = 2.0, step: float = 0.05, rng_seed: int = 0) -> Trajectory:
+def fallback_plan(q_start, q_goal, check: Checker, timeout: float = 2.0,
+                  rng_seed: int = 0) -> Trajectory:
     """Bidirectional sampling-tree planner between exact endpoints.
 
     Uniform seeded sampling within the joint limits with greedy extension;
@@ -227,10 +224,9 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
     rng = np.random.default_rng(rng_seed)
     if config_distance(q_start, q_goal) == 0.0:
         return Trajectory([q_start.copy()], source=SOURCE_FALLBACK)
-    if motion_valid(arm, q_start, q_goal, scene, step):
+    if check.motion(q_start, q_goal):
         return Trajectory([q_start.copy(), q_goal.copy()], source=SOURCE_FALLBACK)
-    lo = np.array([l for l, _ in arm.joint_limits])
-    hi = np.array([h for _, h in arm.joint_limits])
+    lo, hi = np.array(check.arm.joint_limits).T
     trees = (
         ([q_start.copy()], [-1]),  # grown from the start
         ([q_goal.copy()], [-1]),   # grown from the goal
@@ -240,15 +236,15 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
     while time.monotonic() < deadline:
         q_rand = rng.uniform(lo, hi)
         pts_a, par_a = trees[a]
-        new_idx, _ = _extend(pts_a, par_a, q_rand, arm, scene, step)
+        new_idx, _ = _extend(pts_a, par_a, q_rand, check)
         if new_idx is not None:
             pts_b, par_b = trees[1 - a]
-            meet, reached = _extend(pts_b, par_b, pts_a[new_idx], arm, scene, step)
+            meet, reached = _extend(pts_b, par_b, pts_a[new_idx], check)
             if reached and meet is not None:
                 chain_a = _chain(pts_a, par_a, new_idx)
                 chain_b = _chain(pts_b, par_b, meet)
                 wps = chain_a + chain_b[-2::-1] if a == 0 else chain_b + chain_a[-2::-1]
-                wps = _shortcut(wps, arm, scene, step, rng)
+                wps = _shortcut(wps, check, rng)
                 wps = _prune_collinear(wps)
                 wps[0] = q_start.copy()
                 wps[-1] = q_goal.copy()
@@ -257,20 +253,19 @@ def fallback_plan(q_start, q_goal, arm: ArmModel, scene: Scene,
     raise PlanningTimeoutError("no path found within %.3f s" % timeout)
 
 
-def plan_leg(seed: Trajectory, arm: ArmModel, scene: Scene, step: float = 0.05,
-             rng_seed: int = 0, timeout: float = 2.0) -> Trajectory | None:
+def plan_leg(seed: Trajectory, check: Checker, rng_seed: int = 0,
+             timeout: float = 2.0) -> Trajectory | None:
     """Plan one leg: adapt ``seed``, else plan between its endpoints from scratch.
 
     Both stages draw from the same ``rng_seed``. Returns None when the seed
     cannot be repaired and the fallback planner times out.
     """
     try:
-        return adapt_trajectory(seed, arm, scene, step, rng_seed=rng_seed)
+        return adapt_trajectory(seed, check, rng_seed)
     except SeedInvalidError:
         pass
     try:
-        return fallback_plan(seed.waypoints[0], seed.waypoints[-1], arm, scene,
-                             timeout=timeout, step=step, rng_seed=rng_seed)
+        return fallback_plan(seed.waypoints[0], seed.waypoints[-1], check, timeout, rng_seed)
     except PlanningTimeoutError:
         return None
 
@@ -291,8 +286,7 @@ def finite_difference_max_jerk(samples: np.ndarray, dt: float) -> float:
     return float(np.sqrt((third * third).sum(axis=1)).max())
 
 
-def trajectory_metrics(traj: Trajectory, arm: ArmModel, dt: float, scene: Scene,
-                       step: float = 0.05) -> TrajectoryMetrics:
+def trajectory_metrics(traj: Trajectory, check: Checker, dt: float) -> TrajectoryMetrics:
     """Length, execution time, finite-difference max jerk and validity.
 
     Each segment is timed at the duration imposed by the slowest joint running
@@ -303,16 +297,16 @@ def trajectory_metrics(traj: Trajectory, arm: ArmModel, dt: float, scene: Scene,
         raise ValueError("dt must be positive")
     wps = traj.waypoints
     length = traj.length()
-    vmax = np.array(arm.max_joint_velocity)
+    vmax = np.array(check.arm.max_joint_velocity)
     durations = [float(np.max(np.abs(b - a) / vmax)) for a, b in zip(wps, wps[1:])]
     exec_time = float(sum(durations))
-    valid = all(motion_valid(arm, a, b, scene, step) for a, b in zip(wps, wps[1:]))
+    valid = all(check.motion(a, b) for a, b in zip(wps, wps[1:]))
     if exec_time == 0.0:
         return TrajectoryMetrics(length, 0.0, 0.0, valid)
     knots = np.concatenate([[0.0], np.cumsum(durations)])
     times = np.arange(0.0, exec_time + dt * 0.5, dt)
     coords = np.vstack(wps)
     samples = np.column_stack([
-        np.interp(times, knots, coords[:, j]) for j in range(arm.dof)
+        np.interp(times, knots, coords[:, j]) for j in range(check.arm.dof)
     ])
     return TrajectoryMetrics(length, exec_time, finite_difference_max_jerk(samples, dt), valid)

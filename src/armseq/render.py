@@ -7,11 +7,10 @@ several maps are hatched; each map gets its own hue.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .decomposition import Decomposition
 from .kinematics import ArmModel, forward_kinematics
-from .sequencer import SequencePlan
+from .motion import _subdivided
+from .sequencer import SequencePlan, _arm_for
 from .world import Box, Disc, Scene
 
 PALETTE = ["#2f9e44", "#1971c2", "#e8590c", "#9c36b5", "#c2a000", "#0ca678"]
@@ -154,8 +153,7 @@ def render_decomposition_svg(dec: Decomposition, scene: Scene, arm: ArmModel) ->
             if p.position not in membership:
                 cv.dot(p.position[0], p.position[1], 2.0, "#bbbbbb")
     for mi, m in enumerate(dec.maps):
-        arm_m = arm.at_base(m.base_pose) if m.base_pose is not None else arm
-        _draw_arm(cv, arm_m, m.root_config, PALETTE[mi % len(PALETTE)])
+        _draw_arm(cv, _arm_for(arm, m), m.root_config, PALETTE[mi % len(PALETTE)])
     return cv.svg()
 
 
@@ -163,17 +161,8 @@ def render_plan_svg(plan: SequencePlan, scene: Scene, arm: ArmModel) -> str:
     """End-effector traces per leg with direction arrows, plus visited targets."""
     traces = []
     for leg in plan.legs:
-        pts = []
-        wps = leg.trajectory.waypoints
-        for a, b in zip(wps, wps[1:]):
-            d = float(np.max(np.abs(np.asarray(b) - np.asarray(a))))
-            n = max(1, int(np.ceil(d / TRACE_STEP)))
-            for k in range(n):
-                tip, _ = forward_kinematics(arm, np.asarray(a) + (np.asarray(b) - np.asarray(a)) * (k / n))
-                pts.append((float(tip[0]), float(tip[1])))
-        tip, _ = forward_kinematics(arm, wps[-1])
-        pts.append((float(tip[0]), float(tip[1])))
-        traces.append(pts)
+        qs = _subdivided(leg.trajectory.waypoints, TRACE_STEP)
+        traces.append([tuple(map(float, forward_kinematics(arm, q)[0])) for q in qs])
     all_pts = [p for tr in traces for p in tr] + [arm.base_position]
     cv = _Canvas(*_scene_bounds(scene, all_pts))
     _draw_scene(cv, scene)

@@ -17,7 +17,7 @@ from .kinematics import ArmModel, TaskPoint, config_distance, ik_solutions
 from .motion import (SOURCE_STRAIGHT, SOURCE_SUBSPACE, Trajectory, plan_leg,
                      trajectory_metrics)
 from .taskgraph import TaskGraph
-from .world import Scene
+from .world import Checker, Scene
 
 HOME = -1  # marker used in visit orders
 
@@ -353,16 +353,17 @@ def adapt_plan(plan: SequencePlan, arm: ArmModel, scene: Scene, step: float = 0.
     (``rng_seed``, leg index). Failed legs keep their seed and are marked
     invalid rather than dropped.
     """
+    check = Checker(arm, scene, step)
     new_legs: list[Leg] = []
     for li, leg in enumerate(plan.legs):
         seed_traj = leg.trajectory
         if straight_seeds and len(seed_traj.waypoints) > 2:
             seed_traj = _straight_leg(seed_traj.waypoints[0], seed_traj.waypoints[-1])
-        adapted = plan_leg(seed_traj, arm, scene, step, rng_seed * 1_000_003 + li, timeout)
+        adapted = plan_leg(seed_traj, check, rng_seed * 1_000_003 + li, timeout)
         ok = adapted is not None
         if not ok:
             adapted = seed_traj
-        metrics = trajectory_metrics(adapted, arm, dt, scene, step) if ok else None
+        metrics = trajectory_metrics(adapted, check, dt) if ok else None
         new_legs.append(Leg(leg.from_label, leg.to_label, adapted, leg.map_index,
                             valid=ok, metrics=metrics))
     total = sum(leg.trajectory.length() for leg in new_legs if leg.valid)

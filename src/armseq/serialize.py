@@ -16,6 +16,7 @@ import numpy as np
 
 from .decomposition import Decomposition, DecompositionParams, GhaMap, GhaVerification
 from .kinematics import ArmModel, TaskPoint
+from .motion import SOURCE_STRAIGHT, Trajectory, TrajectoryMetrics
 from .sequencer import Leg, SequencePlan
 from .taskgraph import TaskGraph
 from .world import Box, Disc, Scene
@@ -58,6 +59,18 @@ def _opt(mapping, key, kind, default, path):
     return _field(mapping[key], kind, "%s.%s" % (path, key))
 
 
+def _maybe(mapping, key, kind, path):
+    """Like :func:`_req`, but an absent or null field gives None."""
+    value = _object(mapping, path).get(key)
+    return None if value is None else _field(value, kind, "%s.%s" % (path, key))
+
+
+def _ints(values, path) -> list[int]:
+    if not isinstance(values, list):
+        raise SchemaError("%s: expected a list of integers" % path)
+    return [_field(v, int, "%s[%d]" % (path, i)) for i, v in enumerate(values)]
+
+
 def _pair(value, path):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise SchemaError("%s: expected a pair [x, y] of finite numbers" % path)
@@ -85,14 +98,6 @@ def load_json(path):
 
 
 # ---------------------------------------------------------------- obstacles
-
-def obstacle_to_dict(o) -> dict:
-    if isinstance(o, Box):
-        return {"kind": "box", "min": [o.xmin, o.ymin], "max": [o.xmax, o.ymax], "tag": o.tag}
-    if isinstance(o, Disc):
-        return {"kind": "disc", "center": list(o.center), "radius": o.radius, "tag": o.tag}
-    raise TypeError("unknown obstacle type %r" % type(o))
-
 
 def obstacle_from_dict(d, path="obstacle"):
     kind = _req(d, "kind", str, path)
@@ -149,28 +154,16 @@ def arm_from_dict(d, path="arm") -> ArmModel:
         raise SchemaError("%s: %s" % (path, exc)) from exc
 
 
-def arm_to_dict(arm: ArmModel) -> dict:
-    return {
-        "link_lengths": list(arm.link_lengths),
-        "joint_limits": [list(p) for p in arm.joint_limits],
-        "link_thickness": list(arm.link_thickness),
-        "base_position": list(arm.base_position),
-        "max_joint_velocity": list(arm.max_joint_velocity),
-        "free_joint_resolution": arm.free_joint_resolution,
-    }
-
-
 def params_from_dict(d, path="decomposition") -> DecompositionParams:
     if d.get("rho_both_endpoints"):
         raise SchemaError("%s.rho_both_endpoints: no longer supported; the revisit "
                           "penalty is charged on the relaxed edge's target only" % path)
-    zeta = d.get("zeta")
     fields = dict(
         epsilon=_req(d, "epsilon", float, path),
         c_max=_opt(d, "c_max", float, 5.0, path),
         rho=_opt(d, "rho", float, 2.0, path),
         rho_s=_opt(d, "rho_s", float, 0.02, path),
-        zeta=None if zeta is None else _field(zeta, float, path + ".zeta"),
+        zeta=_maybe(d, "zeta", float, path),
         max_subspaces=_opt(d, "max_subspaces", int, 5, path),
         root_sample_count=_opt(d, "root_sample_count", int, 10, path),
         rng_seed=_opt(d, "rng_seed", int, 0, path),
@@ -273,22 +266,21 @@ def _config(value, dof, path) -> np.ndarray:
     return np.array([_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)])
 
 
+def _configs(values, dof, path) -> list[np.ndarray]:
+    if not isinstance(values, list) or not values:
+        raise SchemaError("%s: expected a nonempty list of configurations" % path)
+    return [_config(q, dof, "%s[%d]" % (path, k)) for k, q in enumerate(values)]
+
+
 def graph_from_dict(d, dof: int, path="graph") -> TaskGraph:
     """Task graph of an arm with ``dof`` joints; edges are [i, j, d_T] with i < j."""
-    base_index = _object(d, path).get("base_index")
-    if base_index is not None:
-        _field(base_index, int, path + ".base_index")
+    base_index = _maybe(d, "base_index", int, path)
     nodes = [TaskPoint(_pair(p, "%s.nodes[%d]" % (path, i)), base_index=base_index)
              for i, p in enumerate(_req(d, "nodes", list, path))]
     sets = _req(d, "ik_sets", list, path)
     if len(sets) != len(nodes):
         raise SchemaError("%s.ik_sets: expected %d sets, one per node" % (path, len(nodes)))
-    ik_sets = []
-    for i, sols in enumerate(sets):
-        p = "%s.ik_sets[%d]" % (path, i)
-        if not isinstance(sols, list) or not sols:
-            raise SchemaError("%s: expected a nonempty list of configurations" % p)
-        ik_sets.append([_config(q, dof, "%s[%d]" % (p, j)) for j, q in enumerate(sols)])
+    ik_sets = [_configs(sols, dof, "%s.ik_sets[%d]" % (path, i)) for i, sols in enumerate(sets)]
     edges = {}
     for k, e in enumerate(_req(d, "edges", list, path)):
         p = "%s.edges[%d]" % (path, k)
@@ -317,13 +309,13 @@ def map_to_dict(m: GhaMap) -> dict:
     }
 
 
-def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
-    """Map on ``graphs[base_index]``, where ``graphs`` maps each allowed base index
-    (None for a single-graph artifact) to its task graph."""
+def map_from_dict(d, bases: dict, dof: int, path="map") -> GhaMap:
+    """Map on the base ``bases[base_index]``, where ``bases`` maps each allowed base
+    index (None for a single-graph artifact) to its (task graph, base pose)."""
     base_index = _object(d, path).get("base_index")
-    if not (base_index is None or type(base_index) is int) or base_index not in graphs:
-        raise SchemaError("%s.base_index: expected one of %s" % (path, list(graphs)))
-    graph = graphs[base_index]
+    if not (base_index is None or type(base_index) is int) or base_index not in bases:
+        raise SchemaError("%s.base_index: expected one of %s" % (path, list(bases)))
+    graph, base_pose = bases[base_index]
     assignment = {}
     for key, q in _req(d, "assignment", dict, path).items():
         p = "%s.assignment.%s" % (path, key)
@@ -343,6 +335,11 @@ def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
     if root not in assignment:
         raise SchemaError("%s.root: expected an assigned node" % path)
     pose = d.get("base_pose")
+    if pose is not None:
+        pose = _pair(pose, path + ".base_pose")
+    if pose != base_pose:
+        raise SchemaError("%s.base_pose: expected %s, the pose of base_index %s"
+                          % (path, json.dumps(base_pose), json.dumps(base_index)))
     return GhaMap(
         assignment=assignment,
         tree_edges=tree_edges,
@@ -350,7 +347,7 @@ def map_from_dict(d, graphs: dict, dof: int, path="map") -> GhaMap:
         root_config=_config(d.get("root_config"), dof, path + ".root_config"),
         mean_config=_config(d.get("mean_config"), dof, path + ".mean_config"),
         objective=_req(d, "objective", float, path),
-        base_pose=None if pose is None else _pair(pose, path + ".base_pose"),
+        base_pose=base_pose,
         base_index=base_index,
     )
 
@@ -407,7 +404,8 @@ def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
     else:
         dec = Decomposition([], graph_from_dict(_req(d, "graph", dict, path), dof,
                                                 path + ".graph"), params, coverage)
-    by_base = {None: dec.graph} if dec.base_graphs is None else dict(enumerate(dec.base_graphs))
+    by_base = ({None: (dec.graph, None)} if dec.base_graphs is None
+               else dict(enumerate(zip(dec.base_graphs, dec.base_poses))))
     dec.maps = [map_from_dict(m, by_base, dof, "%s.maps[%d]" % (path, i))
                 for i, m in enumerate(_req(d, "maps", list, path))]
     return dec, scenario
@@ -446,31 +444,41 @@ def plan_to_dict(plan: SequencePlan) -> dict:
     }
 
 
-def plan_from_dict(d) -> SequencePlan:
-    from .motion import Trajectory, TrajectoryMetrics
-
+def plan_from_dict(d, dof: int) -> SequencePlan:
+    """Plan record of an arm with ``dof`` joints."""
     path = "plan"
-    if d.get("kind") != "plan":
+    if _object(d, path).get("kind") != "plan":
         raise SchemaError("%s.kind: expected 'plan'" % path)
     legs = []
     for i, ld in enumerate(_req(d, "legs", list, path)):
-        metrics = ld.get("metrics")
+        p = "%s.legs[%d]" % (path, i)
+        from_label, to_label = _req(ld, "from", int, p), _req(ld, "to", int, p)
+        wps = _configs(_req(ld, "waypoints", list, p), dof, p + ".waypoints")
+        m = _maybe(ld, "metrics", dict, p)
         legs.append(Leg(
-            from_label=ld["from"], to_label=ld["to"],
-            trajectory=Trajectory([np.array(w, dtype=float) for w in ld["waypoints"]],
-                                  source=ld.get("source", "straight_line")),
-            map_index=ld.get("map_index"), valid=ld.get("valid"),
-            metrics=None if metrics is None else TrajectoryMetrics(**metrics),
+            from_label, to_label,
+            Trajectory(wps, source=_opt(ld, "source", str, SOURCE_STRAIGHT, p)),
+            map_index=_maybe(ld, "map_index", int, p), valid=_maybe(ld, "valid", bool, p),
+            metrics=None if m is None else TrajectoryMetrics(
+                *(_req(m, k, float, p + ".metrics")
+                  for k in ("config_length", "exec_time", "max_jerk")),
+                _req(m, "valid", bool, p + ".metrics")),
         ))
+    group_orders = {}
+    for k, order in _opt(d, "group_orders", dict, {}, path).items():
+        if not k.isdecimal():
+            raise SchemaError("%s.group_orders.%s: expected a map index" % (path, k))
+        group_orders[int(k)] = _ints(order, "%s.group_orders.%s" % (path, k))
+    home = d.get("home_config")
     return SequencePlan(
         legs=legs,
-        visit_order=list(_req(d, "visit_order", list, path)),
-        visit_configs=[np.array(q, dtype=float) for q in _req(d, "visit_configs", list, path)],
+        visit_order=_ints(_req(d, "visit_order", list, path), path + ".visit_order"),
+        visit_configs=[_config(q, dof, "%s.visit_configs[%d]" % (path, k))
+                       for k, q in enumerate(_req(d, "visit_configs", list, path))],
         total_config_cost=_req(d, "total_config_cost", float, path),
-        group_orders={int(k): v for k, v in d.get("group_orders", {}).items()},
-        unplanned=list(d.get("unplanned", [])),
-        home_config=None if d.get("home_config") is None
-        else np.array(d["home_config"], dtype=float),
+        group_orders=group_orders,
+        unplanned=_ints(_opt(d, "unplanned", list, [], path), path + ".unplanned"),
+        home_config=None if home is None else _config(home, dof, path + ".home_config"),
     )
 
 

@@ -152,3 +152,23 @@ def motion_valid(arm: ArmModel, a, b, scene: Scene, step: float = 0.05) -> bool:
         if not config_valid(arm, a + diff * (k / n), scene):
             return False
     return True
+
+
+@dataclass(frozen=True)
+class Checker:
+    """Validity of configurations and straight motions for one arm in one scene.
+
+    ``step`` is the resolution of :meth:`motion`. Both methods look up
+    :func:`config_valid` and :func:`motion_valid` in this module on every
+    call, so a rebinding of those names sees every check.
+    """
+
+    arm: ArmModel
+    scene: Scene
+    step: float = 0.05
+
+    def valid(self, q) -> bool:
+        return config_valid(self.arm, q, self.scene)
+
+    def motion(self, a, b) -> bool:
+        return motion_valid(self.arm, a, b, self.scene, self.step)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from armseq import (CostOracle, SequencingParams, TaskPoint, adapt_plan,
+from armseq import (Checker, CostOracle, SequencingParams, TaskPoint, adapt_plan,
                     build_graph, build_task_grid, config_distance, decompose,
                     finite_difference_max_jerk, gtsp_bruteforce, home_config,
                     ik_solutions, motion_valid, naive_sequence, plan_visit_cost,
@@ -115,7 +115,7 @@ def test_criterion_05_sequencing_beats_naive(scenario_json):
                     scenario.arm, scene)
     naive = naive_sequence(scenario.tasks, scenario.arm, scene,
                            scenario.home_task, home_q=plan.home_config)
-    oracle = CostOracle(scenario.arm, scene, rng_seed=scenario.seed)
+    oracle = CostOracle(Checker(scenario.arm, scene), rng_seed=scenario.seed)
     ours = plan_visit_cost(plan, oracle)
     base = plan_visit_cost(naive, oracle)
     _report(5, ours < base,
@@ -137,7 +137,7 @@ def test_criterion_06_oracle_sandwich(fig1):
             p = TaskPoint((float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))))
             if 1 <= len(ik_solutions(arm, p, scene)) <= 3:
                 tasks.append(p)
-        oracle = CostOracle(arm, scene, rng_seed=6)
+        oracle = CostOracle(Checker(arm, scene), rng_seed=6)
         _, _, opt = gtsp_bruteforce(tasks, arm, scene, scenario.home_task, oracle,
                                     home_q=home_q)
         ours = plan_visit_cost(sequence(tasks, dec, scenario.home_task, params,

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from armseq import (CostOracle, HOME, TaskPoint, TooLargeError, config_distance,
+from armseq import (HOME, Checker, CostOracle, TaskPoint, TooLargeError, config_distance,
                     gtsp_bruteforce, ik_solutions, naive_sequence,
                     plan_visit_cost, robotsp_sequence, task_distance)
 from armseq.sequencer import closed_tour_cost, solve_tsp
 
 
 def test_cost_oracle_symmetric_and_cached(arm2, empty_scene):
-    oracle = CostOracle(arm2, empty_scene, rng_seed=5)
+    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=5)
     a = np.array([0.1, 0.2])
     b = np.array([1.0, -0.7])
     assert oracle.cost(a, b) == oracle.cost(b, a)
@@ -29,8 +29,8 @@ def test_cost_oracle_deterministic(arm2):
     scene = Scene((Box(1.2, 1.2, 1.7, 1.7),))
     a = np.array([0.0, 0.0])
     b = np.array([math.pi / 2, 0.0])
-    c1 = CostOracle(arm2, scene, rng_seed=9).cost(a, b)
-    c2 = CostOracle(arm2, scene, rng_seed=9).cost(a, b)
+    c1 = CostOracle(Checker(arm2, scene), rng_seed=9).cost(a, b)
+    c2 = CostOracle(Checker(arm2, scene), rng_seed=9).cost(a, b)
     assert c1 == c2
     assert math.isfinite(c1)
 
@@ -126,7 +126,7 @@ def test_robotsp_tie_keeps_lowest_predecessor(monkeypatch, arm2, empty_scene):
 
 
 def test_gtsp_single_task_two_ik(arm2, empty_scene):
-    oracle = CostOracle(arm2, empty_scene, rng_seed=1)
+    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=1)
     task = TaskPoint((1.0, 1.0))
     home_q = np.array([0.3, 0.8])
     assign, perm, cost = gtsp_bruteforce([task], arm2, empty_scene,
@@ -138,7 +138,7 @@ def test_gtsp_single_task_two_ik(arm2, empty_scene):
 
 
 def test_gtsp_three_tasks_matches_independent_enumeration(arm2, empty_scene):
-    oracle = CostOracle(arm2, empty_scene, rng_seed=2)
+    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=2)
     tasks = [TaskPoint((1.0, 1.0)), TaskPoint((0.4, 1.2)), TaskPoint((1.3, 0.5))]
     home_q = np.array([0.5, 0.5])
     assign, perm, cost = gtsp_bruteforce(tasks, arm2, empty_scene,
@@ -156,11 +156,11 @@ def test_gtsp_three_tasks_matches_independent_enumeration(arm2, empty_scene):
 
 
 def test_gtsp_enforces_limits(arm2, arm3, empty_scene):
-    oracle = CostOracle(arm2, empty_scene)
+    oracle = CostOracle(Checker(arm2, empty_scene))
     tasks = [TaskPoint((0.9, 0.9))] * 7
     with pytest.raises(TooLargeError):
         gtsp_bruteforce(tasks, arm2, empty_scene, TaskPoint((1.0, 0.5)), oracle)
-    oracle3 = CostOracle(arm3, empty_scene)
+    oracle3 = CostOracle(Checker(arm3, empty_scene))
     many_ik = TaskPoint((0.8, 0.4))
     assert len(ik_solutions(arm3, many_ik, empty_scene)) > 4
     with pytest.raises(TooLargeError):
@@ -176,7 +176,7 @@ def test_oracle_lower_bounds_methods_small_instance(arm2, empty_scene):
             p = TaskPoint((float(rng.uniform(-1.2, 1.2)), float(rng.uniform(0.5, 1.2))))
             if 1 <= len(ik_solutions(arm2, p, empty_scene)) <= 3:
                 tasks.append(p)
-        oracle = CostOracle(arm2, empty_scene, rng_seed=3)
+        oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=3)
         home_q = ik_solutions(arm2, home, empty_scene)[0]
         _, _, opt = gtsp_bruteforce(tasks, arm2, empty_scene, home, oracle,
                                     home_q=home_q)

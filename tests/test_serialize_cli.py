@@ -74,7 +74,7 @@ def test_plan_round_trip(single_box_scenario, single_box_decomposition):
     adapted = adapt_plan(plan, sc.arm, sc.scene, rng_seed=sc.seed)
     d = plan_to_dict(adapted)
     text = dumps(d)
-    plan2 = plan_from_dict(json.loads(text))
+    plan2 = plan_from_dict(json.loads(text), sc.arm.dof)
     assert dumps(plan_to_dict(plan2)) == text
     assert plan2.visit_order == adapted.visit_order
 
@@ -194,11 +194,12 @@ def _first_assigned(art):
     ("maps[0].root_config", _set("maps", 0, "root_config", "x")),
     ("maps[0].mean_config", _set("maps", 0, "mean_config", [0.1])),
     ("maps[0].base_index", _set("maps", 0, "base_index", 0)),
+    ("maps[0].base_pose", _set("maps", 0, "base_pose", [0.3, 0.0])),
     ("maps[0]", _set("maps", 0, [])),
 ], ids=["edge-pair", "edge-reversed", "edge-node-range", "edge-weight", "ik-set-count",
         "assignment-row", "assignment-key", "assignment-key-range",
         "tree-edge-range", "tree-edge-text", "tree-edge-float", "root-range",
-        "root-config-text", "mean-config-dof", "base-index", "map-list"])
+        "root-config-text", "mean-config-dof", "base-index", "base-pose", "map-list"])
 def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, edit):
     art = load_json(artifact_path)
     edit(art)
@@ -207,6 +208,43 @@ def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, e
     assert main(["verify", "--artifact", str(bad_path)]) == 1
     err = capsys.readouterr().err
     assert "input error: artifact." + where in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def plan_path(workdir, artifact_path):
+    tasks = workdir / "tasks_record.json"
+    tasks.write_text(dumps({"tasks": [[-0.55, 0.85], [0.6, 0.85]]}))
+    out = workdir / "plan_record.json"
+    assert main(["sequence", "--artifact", str(artifact_path), "--tasks", str(tasks),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("where, edit", [
+    ("legs[0].from", lambda plan: plan["legs"][0].pop("from")),
+    ("legs[0].to", _set("legs", 0, "to", "x")),
+    ("legs[0].waypoints", _set("legs", 0, "waypoints", [])),
+    ("legs[0].waypoints[0]", _set("legs", 0, "waypoints", 0, [0.1])),
+    ("legs[0].map_index", _set("legs", 0, "map_index", 0.5)),
+    ("legs[0].valid", _set("legs", 0, "valid", "yes")),
+    ("legs[0].metrics.max_jerk", lambda plan: plan["legs"][0]["metrics"].pop("max_jerk")),
+    ("visit_order[0]", _set("visit_order", 0, None)),
+    ("visit_configs[0]", _set("visit_configs", 0, [0.1, "x"])),
+    ("group_orders.x", _set("group_orders", "x", [0])),
+    ("home_config", _set("home_config", [0.1, 0.2, 0.3])),
+], ids=["from-missing", "to-text", "waypoints-empty", "waypoint-dof", "map-index-float",
+        "valid-text", "metrics-field", "visit-order", "visit-config", "group-key",
+        "home-config-dof"])
+def test_cli_rejects_malformed_plan(workdir, plan_path, capsys, where, edit):
+    plan = load_json(plan_path)
+    edit(plan)
+    bad_path = workdir / "bad_plan.json"
+    bad_path.write_text(json.dumps(plan))
+    assert main(["render", "--artifact", str(bad_path), "--scenario",
+                 str(workdir / "tabletop.json"), "--out", str(workdir / "bad.svg")]) == 1
+    err = capsys.readouterr().err
+    assert "input error: plan." + where in err
     assert "Traceback" not in err
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from armseq import (ArmModel, Box, Disc, Scene, config_valid, forward_kinematics,
-                    motion_valid)
+from armseq import (ArmModel, Box, Checker, Disc, Scene, config_valid, forward_kinematics,
+                    motion_valid, world)
 
 
 def _segments_intersect(p1, p2, p3, p4):
@@ -152,3 +152,26 @@ def test_config_valid_against_dense_point_oracle(arm2):
                 r = max(arm2.link_thickness)
                 assert abs(clearance - r) <= r
     assert agree / total >= 0.99
+
+
+def test_checker_matches_module_functions(arm2):
+    scene = Scene((Box(1.2, 1.2, 1.7, 1.7),))
+    check = Checker(arm2, scene, step=0.1)
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        a, b = rng.uniform(-math.pi, math.pi, size=(2, 2))
+        assert check.valid(a) == config_valid(arm2, a, scene)
+        assert check.motion(a, b) == motion_valid(arm2, a, b, scene, step=0.1)
+
+
+def test_checker_calls_through_module_names(arm2, empty_scene, monkeypatch):
+    # a rebinding of world.config_valid / world.motion_valid sees every check
+    calls = []
+    for name in ("config_valid", "motion_valid"):
+        fn = getattr(world, name)
+        monkeypatch.setattr(world, name,
+                            lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+    check = Checker(arm2, empty_scene)
+    q = np.array([0.1, 0.2])
+    assert check.valid(q) and check.motion(q, q + 0.01)
+    assert calls == ["config_valid", "motion_valid", "config_valid", "config_valid"]
