@@ -2,8 +2,11 @@
 
 For every shipped scenario the decomposition artifact written by
 ``armseq decompose`` and the plan record written by ``armseq sequence`` for a
-fixed 6-task mission must hash to the digests below, and so must the report
-of a reduced ``armseq bench`` sweep for two of them. A refactor that claims
+fixed 6-task mission must hash to the digests below, and so must the
+standard output of ``armseq verify`` and the SVG of ``armseq render`` on that
+artifact, and the report of a reduced ``armseq bench`` sweep for two of them.
+The verify and render digests pin what a loaded artifact yields (its rows,
+root and mean configurations) apart from how the artifact spells it. A refactor that claims
 to keep behaviour keeps these digests; a change that alters outputs on
 purpose updates them and explains the difference.
 """
@@ -21,27 +24,36 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TABLETOP_TASKS = [[-0.9, 0.8], [-0.5, 1.1], [0.05, 0.95], [0.4, 0.7], [0.85, 0.75], [1.0, 1.0]]
 RAIL_TASKS = [[-1.6, 0.8], [-1.0, 0.7], [-0.3, 0.9], [0.3, 0.7], [1.0, 0.9], [1.6, 0.8]]
 
-# scenario -> (tasks, artifact sha256, plan record sha256)
+# scenario -> (tasks, artifact sha256, plan record sha256, verify stdout sha256,
+#              render SVG sha256)
 GOLDEN = {
     "tabletop": (
         TABLETOP_TASKS,
         "367055f9e59b99fafc3fe04fcc525279f6ca71cfe0424fc03d032de9dd8fed9b",
         "1c6531890646769e2c0984dc74213f400f6e507c917a80c96e02c416eeb872b7",
+        "d4c60d43d30660824760e3d5631bf3a88e3947bf8084a38351011ca28cad2b86",
+        "759ec5a07c486311527ed7ef769f7896ce2078fc3167a6b5055f2c77eeae3792",
     ),
     "tabletop_3link": (
         TABLETOP_TASKS,
         "edcd4a67644c506042d4fbf3696e08dfc85b135d3063392b78cd2df009fe015d",
         "d3f7cb0310f938307e8e81a0b7fe0948db3b47735c7b95f475e65cb053182901",
+        "f9f00c671513025ecbeabbe76bd93dd4ada4c8f13cb5cdfa089855264c8405d1",
+        "1e5d6edc1a245a2d5b5b1ea73fdf24b360fc40386876988436dd5751f2eb7b42",
     ),
     "tabletop_single_box": (
         TABLETOP_TASKS,
         "fc6ff57824f2c9b382fa690c5954f11cad4bc1285d8070077d538437c611e302",
         "9885e1324c0fb2b7a651c7cde2c1d9fed5a2ebab31e6d1c1bd51f901953ec0f9",
+        "25c0c2902db5d7f889735c8d5014c674d099b60818bec964c587f2899d573a6b",
+        "7c4151edf14ef851eaa6f643db9fe2d2ff8eec1af10974f69523be25e7439972",
     ),
     "rail_mobile": (
         RAIL_TASKS,
         "005dfe1b9d1ea19d371f2d08d32ce2270c0469747f5e9d455fada8d39bd93767",
         "14158be936dd6b7f7201656eee332f72abf3ea8a43ef3c721e3ebee1ab7ad348",
+        "03e69983a1d6844b139595d802f95cf4de5b65329f4c468b4b7b45d531be0292",
+        "2c8d6a7c212e1cc940789c3b8d7edc20ef2682b63514f38e20c8390117795ff7",
     ),
 }
 
@@ -52,17 +64,24 @@ def _sha256(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_outputs_match_pinned_digests(name, tmp_path, capsys):
-    tasks, artifact_sha, plan_sha = GOLDEN[name]
+    tasks, artifact_sha, plan_sha, verify_sha, render_sha = GOLDEN[name]
     artifact = tmp_path / "artifact.json"
     plan = tmp_path / "plan.json"
+    figure = tmp_path / "figure.svg"
     tasks_file = tmp_path / "tasks.json"
     tasks_file.write_text(json.dumps({"tasks": tasks}))
     assert main(["decompose", "--scenario", str(SCENARIOS / (name + ".json")),
                  "--out", str(artifact)]) == 0
     assert main(["sequence", "--artifact", str(artifact), "--tasks", str(tasks_file),
                  "--out", str(plan)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--artifact", str(artifact)]) == 0
+    verify_out = capsys.readouterr().out
+    assert main(["render", "--artifact", str(artifact), "--out", str(figure)]) == 0
     assert _sha256(artifact) == artifact_sha
     assert _sha256(plan) == plan_sha
+    assert hashlib.sha256(verify_out.encode()).hexdigest() == verify_sha
+    assert _sha256(figure) == render_sha
 
 
 # scenario -> bench report sha256 for a one-trial sweep over 3 and 8 tasks; the
