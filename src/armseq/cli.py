@@ -13,7 +13,7 @@ import time
 
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
 from .render import render_decomposition_svg, render_plan_svg
-from .sequencer import SequencingParams, adapt_plan, sequence
+from .sequencer import NoIkSolutionsError, SequencingParams, adapt_plan, sequence
 from .serialize import (SchemaError, _object, _pair, artifact_from_dict, artifact_to_dict,
                         dump_json, load_json, load_scenario, plan_from_dict,
                         plan_to_dict)
@@ -175,9 +175,12 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
+    except OSError as exc:
+        print("input error: %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
         return EXIT_INPUT
+    except NoIkSolutionsError as exc:
+        print("unplannable: %s" % exc, file=sys.stderr)
+        return EXIT_UNPLANNABLE
 
 
 if __name__ == "__main__":

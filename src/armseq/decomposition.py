@@ -68,9 +68,11 @@ class DecompositionParams:
 class GhaMap:
     """One approximate-isometry map: a partial node -> configuration assignment.
 
-    ``tree_edges`` are the parent edges accepted during the search; every such
-    edge satisfies |d_C - d_T| < epsilon. ``mean_config`` is the component-wise
-    mean of the assigned configurations.
+    ``pick[u]`` is the index of node u's configuration in its graph's
+    ``ik_sets[u]`` (-1 when unassigned), and everything else about the
+    assignment follows from it (see :func:`build_map`). ``tree_edges`` are the
+    parent edges accepted during the search; every such edge satisfies
+    |d_C - d_T| < epsilon.
     """
 
     assignment: dict[int, np.ndarray]
@@ -79,6 +81,7 @@ class GhaMap:
     root_config: np.ndarray
     mean_config: np.ndarray
     objective: float
+    pick: list[int]
     base_pose: tuple[float, float] | None = None
     base_index: int | None = None
 
@@ -86,21 +89,31 @@ class GhaMap:
         return sorted(self.assignment)
 
 
+def build_map(graph: TaskGraph, pick: list[int], tree_edges, root: int,
+              objective: float) -> GhaMap:
+    """The map giving node u the row ``graph.ik_sets[u][pick[u]]`` (none when -1).
+
+    Rows are the graph's own objects, ``root_config`` is the root's row and
+    ``mean_config`` the mean of the rows in ascending node order.
+    """
+    theta = {u: graph.ik_sets[u][i] for u, i in enumerate(pick) if i >= 0}
+    mean = np.array(list(theta.values())).mean(axis=0)
+    return GhaMap(theta, tree_edges, root, theta[root], mean, objective, pick)
+
+
 @dataclass(eq=False)
 class Decomposition:
-    """Ordered maps (discovery order) plus the graph(s) they were built on."""
+    """Ordered maps (discovery order) plus the graphs they were built on: one
+    graph for a fixed base, or one per pose in ``base_poses`` for a mobile one."""
 
     maps: list[GhaMap]
-    graph: TaskGraph | None
+    graphs: list[TaskGraph]
     params: DecompositionParams
     coverage: float
-    base_graphs: list[TaskGraph] | None = None
     base_poses: list[tuple[float, float]] | None = None
 
     def graph_for(self, m: GhaMap) -> TaskGraph:
-        if m.base_index is None:
-            return self.graph
-        return self.base_graphs[m.base_index]
+        return self.graphs[m.base_index or 0]
 
 
 def get_mapping(u: int, q_t, d_t: float, graph: TaskGraph, epsilon: float):
@@ -207,10 +220,8 @@ def generate_map(graph: TaskGraph, root: int, params: DecompositionParams,
         raise NoFeasibleRootError("all %d root candidates rejected by zeta"
                                   % len(graph.ik_sets[root]))
     J, s = best
-    theta = {u: graph.ik_sets[u][i] for u, i in enumerate(s.pick) if i >= 0}
     tree = {(min(u, p), max(u, p)) for u, p in enumerate(s.parent) if p >= 0}
-    mean = np.array(list(theta.values())).mean(axis=0)
-    return J, GhaMap(theta, tree, root, theta[root], mean, J)
+    return J, build_map(graph, s.pick, tree, root, J)
 
 
 def _cover(graphs: list[TaskGraph], params: DecompositionParams,
@@ -279,7 +290,7 @@ def decompose(graph: TaskGraph, params: DecompositionParams) -> Decomposition:
             "connection radius %.6g exceeds epsilon %.6g; the one-sided edge filter "
             "would not bound distortion both ways" % (graph.connection_radius, params.epsilon))
     found, coverage = _cover([graph], params, [params.max_subspaces])
-    return Decomposition([m for _, m in found], graph, params, coverage=coverage)
+    return Decomposition([m for _, m in found], [graph], params, coverage)
 
 
 def decompose_mobile(grid_region, spacing: float, connection_radius: float,
@@ -312,8 +323,7 @@ def decompose_mobile(grid_region, spacing: float, connection_radius: float,
     for bi, m in found:
         m.base_pose = base_poses[bi]
         m.base_index = bi
-    return Decomposition([m for _, m in found], None, params, coverage=coverage,
-                         base_graphs=graphs, base_poses=base_poses)
+    return Decomposition([m for _, m in found], graphs, params, coverage, base_poses)
 
 
 @dataclass(eq=False)

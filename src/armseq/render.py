@@ -122,20 +122,11 @@ def _draw_arm(cv: _Canvas, arm: ArmModel, q, color, width=3.0):
 
 def render_decomposition_svg(dec: Decomposition, scene: Scene, arm: ArmModel) -> str:
     """Scene, graph edges, per-map node colours (overlap hatched) and root poses."""
-    node_pts = []
-    graphs = []
-    for m in dec.maps:
-        g = dec.graph_for(m)
-        if all(g is not seen for seen in graphs):
-            graphs.append(g)
-    if not graphs and dec.graph is not None:
-        graphs = [dec.graph]
-    for g in graphs:
-        node_pts += [p.position for p in g.nodes]
+    node_pts = [p.position for g in dec.graphs for p in g.nodes]
     base_pts = [arm.base_position] + ([tuple(b) for b in dec.base_poses or []])
     cv = _Canvas(*_scene_bounds(scene, node_pts + base_pts))
     _draw_scene(cv, scene)
-    for g in graphs:
+    for g in dec.graphs:
         for (i, j) in sorted(g.edges):
             pi, pj = g.nodes[i].position, g.nodes[j].position
             cv.line(pi[0], pi[1], pj[0], pj[1], "#cccccc", width=0.8)
@@ -148,7 +139,7 @@ def render_decomposition_svg(dec: Decomposition, scene: Scene, arm: ArmModel) ->
         owners = membership[pos]
         fill = "url(#hatch)" if len(owners) > 1 else PALETTE[owners[0] % len(PALETTE)]
         cv.dot(pos[0], pos[1], 4.5, fill)
-    for g in graphs:
+    for g in dec.graphs:
         for i, p in enumerate(g.nodes):
             if p.position not in membership:
                 cv.dot(p.position[0], p.position[1], 2.0, "#bbbbbb")

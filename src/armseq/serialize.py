@@ -14,14 +14,16 @@ import sys
 
 import numpy as np
 
-from .decomposition import Decomposition, DecompositionParams, GhaMap, GhaVerification
+from .decomposition import (Decomposition, DecompositionParams, GhaMap, GhaVerification,
+                            build_map)
 from .kinematics import ArmModel, TaskPoint
 from .motion import SOURCE_STRAIGHT, Trajectory, TrajectoryMetrics
 from .sequencer import Leg, SequencePlan
 from .taskgraph import TaskGraph
 from .world import Box, Disc, Scene
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1  # scenario files, plan records and bench reports
+ARTIFACT_VERSION = 2  # decomposition artifacts
 
 
 class SchemaError(ValueError):
@@ -253,7 +255,6 @@ def load_scenario(path) -> Scenario:
 def graph_to_dict(g: TaskGraph) -> dict:
     return {
         "nodes": [list(p.position) for p in g.nodes],
-        "base_index": g.nodes[0].base_index if g.nodes else None,
         "ik_sets": [a.tolist() for a in g.ik_arrays],
         "edges": [[i, j, w] for (i, j), w in sorted(g.edges.items())],
         "connection_radius": g.connection_radius,
@@ -272,9 +273,9 @@ def _configs(values, dof, path) -> list[np.ndarray]:
     return [_config(q, dof, "%s[%d]" % (path, k)) for k, q in enumerate(values)]
 
 
-def graph_from_dict(d, dof: int, path="graph") -> TaskGraph:
-    """Task graph of an arm with ``dof`` joints; edges are [i, j, d_T] with i < j."""
-    base_index = _maybe(d, "base_index", int, path)
+def graph_from_dict(d, dof: int, base_index: int | None, path="graph") -> TaskGraph:
+    """Task graph of an arm with ``dof`` joints, on base pose ``base_index`` (None
+    for a fixed base); edges are [i, j, d_T] with i < j."""
     nodes = [TaskPoint(_pair(p, "%s.nodes[%d]" % (path, i)), base_index=base_index)
              for i, p in enumerate(_req(d, "nodes", list, path))]
     sets = _req(d, "ik_sets", list, path)
@@ -298,58 +299,45 @@ def graph_from_dict(d, dof: int, path="graph") -> TaskGraph:
 
 def map_to_dict(m: GhaMap) -> dict:
     return {
-        "assignment": {str(i): [float(v) for v in q] for i, q in sorted(m.assignment.items())},
+        "pick": m.pick,
         "tree_edges": [[a, b] for a, b in sorted(m.tree_edges)],
         "root": m.root,
-        "root_config": [float(v) for v in m.root_config],
-        "mean_config": [float(v) for v in m.mean_config],
         "objective": m.objective,
-        "base_pose": None if m.base_pose is None else list(m.base_pose),
         "base_index": m.base_index,
     }
 
 
-def map_from_dict(d, bases: dict, dof: int, path="map") -> GhaMap:
-    """Map on the base ``bases[base_index]``, where ``bases`` maps each allowed base
-    index (None for a single-graph artifact) to its (task graph, base pose)."""
+def map_from_dict(d, dec: Decomposition, path="map") -> GhaMap:
+    """Map on one of ``dec.graphs``: the one of its ``base_index`` (None for a fixed base)."""
     base_index = _object(d, path).get("base_index")
+    bases = [None] if dec.base_poses is None else list(range(len(dec.graphs)))
     if not (base_index is None or type(base_index) is int) or base_index not in bases:
-        raise SchemaError("%s.base_index: expected one of %s" % (path, list(bases)))
-    graph, base_pose = bases[base_index]
-    assignment = {}
-    for key, q in _req(d, "assignment", dict, path).items():
-        p = "%s.assignment.%s" % (path, key)
-        if not key.isdecimal() or str(int(key)) != key or int(key) >= len(graph):
-            raise SchemaError("%s: expected a node index below %d" % (p, len(graph)))
-        assignment[int(key)] = _config(q, dof, p)
+        raise SchemaError("%s.base_index: expected one of %s" % (path, bases))
+    graph = dec.graphs[base_index or 0]
+    pick = _ints(_req(d, "pick", list, path), path + ".pick")
+    if len(pick) != len(graph):
+        raise SchemaError("%s.pick: expected %d candidate indices, one per node"
+                          % (path, len(graph)))
+    for u, i in enumerate(pick):
+        if not -1 <= i < len(graph.ik_sets[u]):
+            raise SchemaError("%s.pick[%d]: expected -1 (unassigned) or an IK candidate "
+                              "index below %d" % (path, u, len(graph.ik_sets[u])))
+    root = _req(d, "root", int, path)
+    if not 0 <= root < len(graph) or pick[root] < 0:
+        raise SchemaError("%s.root: expected an assigned node" % path)
     tree_edges = set()
     for k, e in enumerate(_req(d, "tree_edges", list, path)):
         p = "%s.tree_edges[%d]" % (path, k)
         if not isinstance(e, list) or len(e) != 2:
             raise SchemaError("%s: expected [a, b]" % p)
         a, b = _field(e[0], int, p + "[0]"), _field(e[1], int, p + "[1]")
-        if (a, b) not in graph.edges or a not in assignment or b not in assignment:
+        if (a, b) not in graph.edges or pick[a] < 0 or pick[b] < 0:
             raise SchemaError("%s: expected a graph edge a < b between assigned nodes" % p)
         tree_edges.add((a, b))
-    root = _req(d, "root", int, path)
-    if root not in assignment:
-        raise SchemaError("%s.root: expected an assigned node" % path)
-    pose = d.get("base_pose")
-    if pose is not None:
-        pose = _pair(pose, path + ".base_pose")
-    if pose != base_pose:
-        raise SchemaError("%s.base_pose: expected %s, the pose of base_index %s"
-                          % (path, json.dumps(base_pose), json.dumps(base_index)))
-    return GhaMap(
-        assignment=assignment,
-        tree_edges=tree_edges,
-        root=root,
-        root_config=_config(d.get("root_config"), dof, path + ".root_config"),
-        mean_config=_config(d.get("mean_config"), dof, path + ".mean_config"),
-        objective=_req(d, "objective", float, path),
-        base_pose=base_pose,
-        base_index=base_index,
-    )
+    m = build_map(graph, pick, tree_edges, root, _req(d, "objective", float, path))
+    if base_index is not None:
+        m.base_pose, m.base_index = dec.base_poses[base_index], base_index
+    return m
 
 
 def verification_to_dict(v: GhaVerification) -> dict:
@@ -365,48 +353,44 @@ def verification_to_dict(v: GhaVerification) -> dict:
 
 def artifact_to_dict(dec: Decomposition, scenario_raw: dict,
                      verifications: list[GhaVerification]) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
+    return {
+        "schema_version": ARTIFACT_VERSION,
         "kind": "decomposition",
         "scenario": scenario_raw,
+        "graphs": [graph_to_dict(g) for g in dec.graphs],
+        "base_poses": None if dec.base_poses is None else [list(b) for b in dec.base_poses],
         "maps": [map_to_dict(m) for m in dec.maps],
         "coverage": dec.coverage,
         "params": params_to_dict(dec.params),
         "verification": [verification_to_dict(v) for v in verifications],
     }
-    if dec.base_graphs is not None:
-        out["base_graphs"] = [graph_to_dict(g) for g in dec.base_graphs]
-        out["base_poses"] = [list(b) for b in dec.base_poses]
-    else:
-        out["graph"] = graph_to_dict(dec.graph)
-    return out
 
 
 def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
     path = "artifact"
     if _object(d, path).get("kind") != "decomposition":
         raise SchemaError("%s.kind: expected 'decomposition'" % path)
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
+    if d.get("schema_version") != ARTIFACT_VERSION:
+        raise SchemaError("%s.schema_version: expected %d; run armseq decompose again"
+                          % (path, ARTIFACT_VERSION))
     scenario = Scenario(_req(d, "scenario", dict, path))
     params = params_from_dict(_req(d, "params", dict, path), path + ".params")
     coverage = _req(d, "coverage", float, path)
-    dof = scenario.arm.dof
-    if "base_graphs" in d:
-        graphs = [graph_from_dict(g, dof, "%s.base_graphs[%d]" % (path, i))
-                  for i, g in enumerate(_req(d, "base_graphs", list, path))]
+    poses = d.get("base_poses")
+    if poses is not None:
         poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
-                 for i, b in enumerate(_req(d, "base_poses", list, path))]
-        if len(poses) != len(graphs):
-            raise SchemaError("%s.base_poses: expected %d poses, one per base graph"
-                              % (path, len(graphs)))
-        dec = Decomposition([], None, params, coverage, graphs, poses)
-    else:
-        dec = Decomposition([], graph_from_dict(_req(d, "graph", dict, path), dof,
-                                                path + ".graph"), params, coverage)
-    by_base = ({None: (dec.graph, None)} if dec.base_graphs is None
-               else dict(enumerate(zip(dec.base_graphs, dec.base_poses))))
-    dec.maps = [map_from_dict(m, by_base, dof, "%s.maps[%d]" % (path, i))
+                 for i, b in enumerate(_field(poses, list, path + ".base_poses"))]
+    if poses != scenario.base_poses:
+        raise SchemaError("%s.base_poses: expected %s, the scenario's base poses"
+                          % (path, json.dumps(scenario.base_poses)))
+    graphs = [graph_from_dict(g, scenario.arm.dof, None if poses is None else i,
+                              "%s.graphs[%d]" % (path, i))
+              for i, g in enumerate(_req(d, "graphs", list, path))]
+    if len(graphs) != (1 if poses is None else len(poses)):
+        raise SchemaError("%s.base_poses: expected null with one graph, or one pose per "
+                          "graph" % path)
+    dec = Decomposition([], graphs, params, coverage, poses)
+    dec.maps = [map_from_dict(m, dec, "%s.maps[%d]" % (path, i))
                 for i, m in enumerate(_req(d, "maps", list, path))]
     return dec, scenario
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from armseq import (DecompositionParams, EmptyGraphError, GhaMap,
+from armseq import (DecompositionParams, EmptyGraphError, build_map,
                     NoFeasibleRootError, NoProgressWarning, Scene, TaskGraph,
                     TaskPoint, config_distance, decompose,
                     decompose_mobile, generate_map, get_mapping, update,
@@ -278,14 +278,23 @@ def test_epsilon_sweep_reaches_single_map(arm2, empty_scene):
     assert rep.clean()
 
 
+def test_build_map_derives_rows_from_picks():
+    g = make_graph([(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)],
+                   [[[0.0]], [[0.2], [0.4]], [[1.0]]], [(0, 1)])
+    m = build_map(g, [0, 1, -1], {(0, 1)}, 1, 0.5)
+    assert sorted(m.assignment) == [0, 1]
+    assert m.assignment[0] is g.ik_sets[0][0] and m.assignment[1] is g.ik_sets[1][1]
+    assert m.root_config is g.ik_sets[1][1]
+    assert np.array_equal(m.mean_config, [0.2])
+    assert m.pick == [0, 1, -1] and m.objective == 0.5
+
+
 # ------------------------------------------------------------------- verify_gha
 
 def test_verify_flags_edge_violation():
     eps = 0.1
     g = make_graph([(0.0, 0.0), (0.1, 0.0)], [[[0.0]], [[0.3]]], [(0, 1)])
-    bad = GhaMap(assignment={0: np.array([0.0]), 1: np.array([0.3])},
-                 tree_edges={(0, 1)}, root=0, root_config=np.array([0.0]),
-                 mean_config=np.array([0.15]), objective=0.3)
+    bad = build_map(g, [0, 0], {(0, 1)}, 0, 0.3)
     rep = verify_gha(bad, g, eps)
     assert len(rep.edge_violations) == 1  # d_C - d_T = 0.2 = 2 * eps
 
@@ -297,10 +306,7 @@ def test_verify_hop_bound_allows_point9_slack():
     step = 0.1 + 0.9 * eps
     cfg = [[i * step] for i in range(4)]
     g = make_graph(positions, [[c] for c in cfg], [(i, i + 1) for i in range(3)])
-    m = GhaMap(assignment={i: np.array(cfg[i]) for i in range(4)},
-               tree_edges={(i, i + 1) for i in range(3)}, root=0,
-               root_config=np.array(cfg[0]), mean_config=np.array([0.0]),
-               objective=0.0)
+    m = build_map(g, [0] * 4, {(i, i + 1) for i in range(3)}, 0, 0.0)
     rep = verify_gha(m, g, eps, hop_samples=500, geodesic_samples=0)
     assert rep.hop_pairs_checked > 0
     assert rep.hop_bound_violations == []
@@ -313,19 +319,14 @@ def test_verify_flags_hop_violation():
     # per-edge distortion just under eps: two-hop deviation 0.098 < 2 eps, clean
     cfg = [[0.0], [0.1 + 0.049], [0.2 + 0.098]]
     g = make_graph(positions, [[c] for c in cfg], [(0, 1), (1, 2)])
-    m = GhaMap(assignment={i: np.array(cfg[i]) for i in range(3)},
-               tree_edges={(0, 1), (1, 2)}, root=0,
-               root_config=np.array(cfg[0]), mean_config=np.array([0.0]),
-               objective=0.0)
+    m = build_map(g, [0] * 3, {(0, 1), (1, 2)}, 0, 0.0)
     rep = verify_gha(m, g, eps, hop_samples=500, geodesic_samples=0)
     assert rep.hop_bound_violations == []
     # per-edge overshoot of 1.5 eps accumulates past the two-hop bound
     cfg_bad = [[0.0], [0.1 + 0.075], [0.2 + 0.15]]
-    m_bad = GhaMap(assignment={i: np.array(cfg_bad[i]) for i in range(3)},
-                   tree_edges={(0, 1), (1, 2)}, root=0,
-                   root_config=np.array(cfg_bad[0]), mean_config=np.array([0.0]),
-                   objective=0.0)
-    rep = verify_gha(m_bad, g, eps, hop_samples=500, geodesic_samples=0)
+    g_bad = make_graph(positions, [[c] for c in cfg_bad], [(0, 1), (1, 2)])
+    m_bad = build_map(g_bad, [0] * 3, {(0, 1), (1, 2)}, 0, 0.0)
+    rep = verify_gha(m_bad, g_bad, eps, hop_samples=500, geodesic_samples=0)
     assert len(rep.edge_violations) == 2
     assert len(rep.hop_bound_violations) > 0
 
@@ -336,10 +337,7 @@ def test_verify_geodesic_bound_on_line():
     cfg = [[0.105 * i] for i in range(5)]
     g = make_graph(positions, [[c] for c in cfg],
                    [(i, i + 1) for i in range(4)], radius=0.1)
-    m = GhaMap(assignment={i: np.array(cfg[i]) for i in range(5)},
-               tree_edges={(i, i + 1) for i in range(4)}, root=0,
-               root_config=np.array(cfg[0]), mean_config=np.array([0.0]),
-               objective=0.0)
+    m = build_map(g, [0] * 5, {(i, i + 1) for i in range(4)}, 0, 0.0)
     rep = verify_gha(m, g, eps, hop_samples=10, geodesic_samples=100)
     assert rep.geodesics_checked > 0
     assert rep.geodesic_bound_violations == []

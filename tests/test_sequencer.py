@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from armseq import (Decomposition, DecompositionParams, GhaMap, HOME,
+from armseq import (Decomposition, DecompositionParams, HOME, build_map,
                     DisconnectedError, NoIkSolutionsError, SequencingParams,
                     TaskPoint, config_distance, home_config, ik_solutions,
                     intra_subspace_trajectory, match_task, sequence,
@@ -17,19 +17,20 @@ from test_decomposition import make_graph, params
 
 
 def _single_node_decomposition(assignments, positions=None):
-    """Decomposition with one map per assignment dict over a shared graph."""
+    """Decomposition with one map per assignment dict over a shared graph, whose
+    IK sets hold the assigned rows in map order (a placeholder where none is)."""
     positions = positions or [(1.0, 1.0)]
-    ik = [[[0.0, 0.0]]] * len(positions)
-    g = make_graph(positions, ik, [], radius=1.0)
-    maps = []
+    ik = [[] for _ in positions]
+    picks = []
     for assign in assignments:
-        a = {n: np.array(q, dtype=float) for n, q in assign.items()}
-        root = sorted(a)[0]
-        maps.append(GhaMap(assignment=a, tree_edges=set(), root=root,
-                           root_config=a[root],
-                           mean_config=np.mean(np.array(list(a.values())), axis=0),
-                           objective=0.0))
-    return Decomposition(maps, g, DecompositionParams(epsilon=1.0), 1.0)
+        pick = [-1] * len(positions)
+        for n, q in assign.items():
+            pick[n] = len(ik[n])
+            ik[n].append(list(q))
+        picks.append(pick)
+    g = make_graph(positions, [rows or [[0.0, 0.0]] for rows in ik], [], radius=1.0)
+    maps = [build_map(g, pick, set(), min(a), 0.0) for pick, a in zip(picks, assignments)]
+    return Decomposition(maps, [g], DecompositionParams(epsilon=1.0), 1.0)
 
 
 def test_match_exact_node(tabletop_scenario, tabletop_decomposition):
@@ -37,7 +38,7 @@ def test_match_exact_node(tabletop_scenario, tabletop_decomposition):
     sc = tabletop_scenario
     m0 = dec.maps[0]
     node = m0.assigned_nodes()[len(m0.assignment) // 2]
-    task = TaskPoint(dec.graph.nodes[node].position)
+    task = TaskPoint(dec.graphs[0].nodes[node].position)
     mt = match_task(task, dec, k=10, threshold=0.7, arm=sc.arm, scene=sc.scene)
     assert mt.map_index == 0
     assert mt.matched_node == node
@@ -117,7 +118,7 @@ def _dijkstra_oracle(graph, assignment, start, goal):
 def test_intra_trajectory_adjacent(tabletop_decomposition):
     dec = tabletop_decomposition
     m = dec.maps[0]
-    g = dec.graph
+    g = dec.graphs[0]
     a, b = sorted(m.tree_edges)[0]
     qa, qb = m.assignment[a], m.assignment[b]
     ma = TaskMatch(TaskPoint(g.nodes[a].position), 0, a, qa + 0.01, 0.01)
@@ -134,9 +135,9 @@ def test_intra_trajectory_same_node(tabletop_decomposition):
     m = dec.maps[0]
     n = m.assigned_nodes()[0]
     q = m.assignment[n]
-    ma = TaskMatch(TaskPoint(dec.graph.nodes[n].position), 0, n, q.copy(), 0.0)
-    mb = TaskMatch(TaskPoint(dec.graph.nodes[n].position), 0, n, q.copy(), 0.0)
-    tr = intra_subspace_trajectory(m, dec.graph, ma, mb)
+    ma = TaskMatch(TaskPoint(dec.graphs[0].nodes[n].position), 0, n, q.copy(), 0.0)
+    mb = TaskMatch(TaskPoint(dec.graphs[0].nodes[n].position), 0, n, q.copy(), 0.0)
+    tr = intra_subspace_trajectory(m, dec.graphs[0], ma, mb)
     assert len(tr.waypoints) == 3
     assert tr.length() <= 1e-12
 
@@ -146,17 +147,15 @@ def test_intra_trajectory_matches_dijkstra_oracle(tabletop_decomposition):
     m = dec.maps[0]
     nodes = m.assigned_nodes()
     a, b = nodes[0], nodes[-1]
-    ma = TaskMatch(TaskPoint(dec.graph.nodes[a].position), 0, a, m.assignment[a], 0.0)
-    mb = TaskMatch(TaskPoint(dec.graph.nodes[b].position), 0, b, m.assignment[b], 0.0)
-    tr = intra_subspace_trajectory(m, dec.graph, ma, mb)
-    assert tr.length() == pytest.approx(_dijkstra_oracle(dec.graph, m.assignment, a, b))
+    ma = TaskMatch(TaskPoint(dec.graphs[0].nodes[a].position), 0, a, m.assignment[a], 0.0)
+    mb = TaskMatch(TaskPoint(dec.graphs[0].nodes[b].position), 0, b, m.assignment[b], 0.0)
+    tr = intra_subspace_trajectory(m, dec.graphs[0], ma, mb)
+    assert tr.length() == pytest.approx(_dijkstra_oracle(dec.graphs[0], m.assignment, a, b))
 
 
 def test_intra_trajectory_disconnected():
     g = make_graph([(0.0, 0.0), (0.5, 0.0)], [[[0.0]], [[0.1]]], [], radius=1.0)
-    m = GhaMap(assignment={0: np.array([0.0]), 1: np.array([0.1])},
-               tree_edges=set(), root=0, root_config=np.array([0.0]),
-               mean_config=np.array([0.05]), objective=0.0)
+    m = build_map(g, [0, 0], set(), 0, 0.0)
     ma = TaskMatch(TaskPoint((0.0, 0.0)), 0, 0, np.array([0.0]), 0.0)
     mb = TaskMatch(TaskPoint((0.5, 0.0)), 0, 1, np.array([0.1]), 0.0)
     with pytest.raises(DisconnectedError):
@@ -193,7 +192,7 @@ def test_home_config_near_first_map(tabletop_scenario, tabletop_decomposition):
     sc = tabletop_scenario
     m0 = dec.maps[0]
     node = m0.assigned_nodes()[len(m0.assignment) // 3]
-    home = TaskPoint(dec.graph.nodes[node].position)
+    home = TaskPoint(dec.graphs[0].nodes[node].position)
     got = home_config(dec, home, sc.arm, sc.scene)
     eps = sc.decomposition.epsilon
     assert config_distance(got, m0.assignment[node]) <= eps + 0.25

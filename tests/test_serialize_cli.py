@@ -44,7 +44,7 @@ def test_scenario_schema_errors(scenario_json):
 
 def test_graph_round_trip(tabletop_graph):
     d = graph_to_dict(tabletop_graph)
-    g2 = graph_from_dict(json.loads(json.dumps(d)), dof=2)
+    g2 = graph_from_dict(json.loads(json.dumps(d)), dof=2, base_index=None)
     assert graph_to_dict(g2) == d
     assert len(g2) == len(tabletop_graph)
     assert g2.edges == tabletop_graph.edges
@@ -57,12 +57,20 @@ def test_artifact_round_trip(tabletop_scenario, tabletop_graph, tabletop_decompo
     art = artifact_to_dict(tabletop_decomposition, tabletop_scenario.raw, reports)
     text = dumps(art)
     dec2, sc2 = artifact_from_dict(json.loads(text))
-    reports2 = [verify_gha(m, dec2.graph, eps, hop_samples=50, geodesic_samples=10)
+    graph2 = dec2.graphs[0]
+    reports2 = [verify_gha(m, graph2, eps, hop_samples=50, geodesic_samples=10)
                 for m in dec2.maps]
     art2 = artifact_to_dict(dec2, sc2.raw, reports2)
     assert dumps(art2) == text
     for m1, m2 in zip(tabletop_decomposition.maps, dec2.maps):
         assert map_to_dict(m1) == map_to_dict(m2)
+        # every row is the loaded graph's own IK candidate, and nothing derived moved
+        assert sorted(m2.assignment) == [u for u, i in enumerate(m2.pick) if i >= 0]
+        assert all(m2.assignment[u] is graph2.ik_sets[u][i]
+                   for u, i in enumerate(m2.pick) if i >= 0)
+        assert all(np.array_equal(m2.assignment[u], q) for u, q in m1.assignment.items())
+        assert m2.root_config is m2.assignment[m2.root]
+        assert np.array_equal(m2.mean_config, m1.mean_config)
 
 
 def test_plan_round_trip(single_box_scenario, single_box_decomposition):
@@ -133,8 +141,10 @@ def test_cli_verify_ok(artifact_path):
 def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
     art = load_json(artifact_path)
     bad = copy.deepcopy(art)
-    node = sorted(bad["maps"][0]["assignment"])[0]
-    bad["maps"][0]["assignment"][node][0] += 2.0
+    # switch the first assigned node with two IK candidates to its other one
+    pick, ik_sets = bad["maps"][0]["pick"], bad["graphs"][0]["ik_sets"]
+    node = next(u for u, i in enumerate(pick) if i >= 0 and len(ik_sets[u]) == 2)
+    pick[node] = 1 - pick[node]
     bad_path = workdir / "corrupt.json"
     bad_path.write_text(dumps(bad))
     assert main(["verify", "--artifact", str(bad_path)]) == 4
@@ -151,12 +161,12 @@ def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
                          ids=["ragged", "string", "null", "bool", "empty", "flat", "text", "dof"])
 def test_cli_rejects_malformed_artifact_ik_set(workdir, artifact_path, capsys, ik_set):
     art = load_json(artifact_path)
-    art["graph"]["ik_sets"][3] = ik_set
+    art["graphs"][0]["ik_sets"][3] = ik_set
     bad_path = workdir / "bad_ik_set.json"
     bad_path.write_text(json.dumps(art))
     assert main(["verify", "--artifact", str(bad_path)]) == 1
     err = capsys.readouterr().err
-    assert "input error: artifact.graph.ik_sets[3]" in err
+    assert "input error: artifact.graphs[0].ik_sets[3]" in err
     assert "Traceback" not in err
 
 
@@ -172,34 +182,37 @@ def _set(*keys_value):
     return edit
 
 
-def _first_assigned(art):
-    return sorted(art["maps"][0]["assignment"], key=int)[0]
+def _unassign_root(art):
+    m = art["maps"][0]
+    m["pick"][m["root"]] = -1
+
+
+def _pick_past_last_candidate(art):
+    art["maps"][0]["pick"][0] = len(art["graphs"][0]["ik_sets"][0])
 
 
 @pytest.mark.parametrize("where, edit", [
-    ("graph.edges[0]", _set("graph", "edges", 0, [0, 1])),
-    ("graph.edges[0]", _set("graph", "edges", 0, [1, 0, 0.1])),
-    ("graph.edges[0]", _set("graph", "edges", 0, [0, 99999, 0.1])),
-    ("graph.edges[0][2]", _set("graph", "edges", 0, [0, 1, "x"])),
-    ("graph.ik_sets", lambda art: art["graph"]["ik_sets"].pop()),
-    ("maps[0].assignment.", lambda art: art["maps"][0]["assignment"].update(
-        {_first_assigned(art): [0.1]})),
-    ("maps[0].assignment.x", lambda art: art["maps"][0]["assignment"].update(x=[0.1, 0.2])),
-    ("maps[0].assignment.99999", lambda art: art["maps"][0]["assignment"].update(
-        {"99999": [0.1, 0.2]})),
+    ("schema_version: expected 2; run armseq decompose again", _set("schema_version", 1)),
+    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [0, 1])),
+    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [1, 0, 0.1])),
+    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [0, 99999, 0.1])),
+    ("graphs[0].edges[0][2]", _set("graphs", 0, "edges", 0, [0, 1, "x"])),
+    ("graphs[0].ik_sets", lambda art: art["graphs"][0]["ik_sets"].pop()),
+    ("base_poses", lambda art: art["graphs"].append(art["graphs"][0])),
+    ("maps[0].pick", lambda art: art["maps"][0]["pick"].pop()),
+    ("maps[0].pick[0]", _pick_past_last_candidate),
+    ("maps[0].pick[0]", _set("maps", 0, "pick", 0, True)),
     ("maps[0].tree_edges[0]", _set("maps", 0, "tree_edges", 0, [0, 99999])),
     ("maps[0].tree_edges[0]", _set("maps", 0, "tree_edges", 0, "x")),
     ("maps[0].tree_edges[0][0]", _set("maps", 0, "tree_edges", 0, [0.5, 1])),
     ("maps[0].root", _set("maps", 0, "root", 99999)),
-    ("maps[0].root_config", _set("maps", 0, "root_config", "x")),
-    ("maps[0].mean_config", _set("maps", 0, "mean_config", [0.1])),
+    ("maps[0].root", _unassign_root),
     ("maps[0].base_index", _set("maps", 0, "base_index", 0)),
-    ("maps[0].base_pose", _set("maps", 0, "base_pose", [0.3, 0.0])),
     ("maps[0]", _set("maps", 0, [])),
-], ids=["edge-pair", "edge-reversed", "edge-node-range", "edge-weight", "ik-set-count",
-        "assignment-row", "assignment-key", "assignment-key-range",
+], ids=["schema-version-1", "edge-pair", "edge-reversed", "edge-node-range", "edge-weight",
+        "ik-set-count", "base-poses-null", "pick-short", "pick-range", "pick-bool",
         "tree-edge-range", "tree-edge-text", "tree-edge-float", "root-range",
-        "root-config-text", "mean-config-dof", "base-index", "base-pose", "map-list"])
+        "root-unassigned", "base-index", "map-list"])
 def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, edit):
     art = load_json(artifact_path)
     edit(art)
@@ -323,7 +336,7 @@ def test_cli_render_plan(workdir, artifact_path):
     assert root.tag.endswith("svg")
 
 
-def test_cli_input_errors(scenario_json, workdir, capsys):
+def test_cli_input_errors(scenario_json, workdir, artifact_path, capsys):
     bad = workdir / "bad.json"
     bad.write_text("{not json")
     assert main(["decompose", "--scenario", str(bad), "--out", str(workdir / "x.json")]) == 1
@@ -350,10 +363,37 @@ def test_cli_input_errors(scenario_json, workdir, capsys):
         (["sequence", "--artifact", str(listed), "--tasks", str(listed), "--out", out],
          "artifact: expected an object"),
         (["decompose", "--scenario", str(workdir), "--out", out], "Is a directory"),
+        # an output path that cannot be written
+        (["render", "--artifact", str(artifact_path), "--out", str(workdir)],
+         "%s: Is a directory" % workdir),
     ]:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "input error: " in err and message in err
+
+
+@pytest.mark.parametrize("command", ["sequence", "bench"])
+def test_cli_unreachable_home_task_exit3(scenario_json, workdir, artifact_path, capsys,
+                                         command):
+    if command == "sequence":
+        art = load_json(artifact_path)
+        art["scenario"]["sequencing"]["home_task"] = [5, 5]
+        path = workdir / "far_home_artifact.json"
+        path.write_text(dumps(art))
+        tasks = workdir / "tasks_far_home.json"
+        tasks.write_text(dumps({"tasks": [[-0.55, 0.85]]}))
+        argv = ["sequence", "--artifact", str(path), "--tasks", str(tasks)]
+    else:
+        scenario = scenario_json("tabletop")
+        scenario["sequencing"]["home_task"] = [5, 5]
+        scenario["bench"] = {"task_counts": [3], "trials": 1}
+        path = workdir / "far_home.json"
+        path.write_text(dumps(scenario))
+        argv = ["bench", "--scenario", str(path)]
+    assert main(argv + ["--out", str(workdir / "far_home_out.json")]) == 3
+    err = capsys.readouterr().err
+    assert "unplannable: home task at (5.0, 5.0) has no valid IK solution" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("task", ['["x", 1]', "[1.0]", "[NaN, 0.5]", "[0.5, Infinity]",
@@ -417,7 +457,7 @@ def test_cli_seed_override_changes_artifact(workdir):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_mobile_scenario_artifact_round_trip(scenario_json, tmp_path):
+def test_mobile_scenario_artifact_round_trip(scenario_json, tmp_path, capsys):
     scenario = scenario_json("rail_mobile")
     scenario["task_grid"]["region"] = [-1.4, 0.6, 1.4, 0.9]
     path = tmp_path / "mobile.json"
@@ -426,9 +466,16 @@ def test_mobile_scenario_artifact_round_trip(scenario_json, tmp_path):
     code = main(["decompose", "--scenario", str(path), "--out", str(out)])
     assert code in (0, 2)
     dec, sc = artifact_from_dict(load_json(out))
-    assert dec.base_graphs is not None
+    assert len(dec.graphs) == len(dec.base_poses) == len(sc.base_poses)
     assert all(m.base_pose is not None for m in dec.maps)
     assert main(["verify", "--artifact", str(out)]) == 0
+    # a base pose that is not the scenario's would plan with the arm moved
+    art = load_json(out)
+    art["base_poses"][0] = [0.3, 0.0]
+    out.write_text(dumps(art))
+    assert main(["verify", "--artifact", str(out)]) == 1
+    assert "input error: artifact.base_poses: expected [[-0.8, 0.0], [0.8, 0.0]]" in \
+        capsys.readouterr().err
 
 
 def test_cli_sequence_deterministic(workdir, artifact_path):
