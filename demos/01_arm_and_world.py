@@ -21,10 +21,10 @@ tip, joints = forward_kinematics(arm, [np.pi / 4, -np.pi / 2])
 print("tip:", np.round(tip, 4))
 print("joints:", [np.round(j, 4) for j in joints])
 
-# a target inside the reachable annulus has two elbow branches
-scene = Scene()
+# a target inside the reachable annulus has two elbow branches; a checker
+# for the arm in its scene decides which of them are valid
 target = TaskPoint((1.0, 1.0))
-for q in ik_solutions(arm, target, scene):
+for q in ik_solutions(Checker(arm, Scene()), target):
     print("IK solution:", np.round(q, 4))
 
 # the configuration metric is L-infinity by default, the task metric Euclidean
@@ -34,9 +34,9 @@ print("d_C:", config_distance(qa, qb), " d_T:",
 
 # obstacles remove IK branches and invalidate sweeps
 cluttered = Scene((Box(1.2, 1.2, 1.7, 1.7), Disc((-0.9, 0.4), 0.15)))
-print("solutions in clutter:", len(ik_solutions(arm, target, cluttered)))
-# one checker answers both validity questions for this arm in this scene
+# one checker answers every validity question for this arm in this scene
 check = Checker(arm, cluttered)
+print("solutions in clutter:", len(ik_solutions(check, target)))
 print("config (0, 0) valid:", check.valid(np.array([0.0, 0.0])))
 print("straight sweep to (pi/2, 0) valid:",
       check.motion(np.array([0.0, 0.0]), np.array([np.pi / 2, 0.0])))

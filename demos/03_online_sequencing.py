@@ -30,13 +30,13 @@ plan = sequence(tasks, dec, scenario.home_task,
 print("visit order (-1 is home):", plan.visit_order)
 print("groups by map:", plan.group_orders)
 
-naive = naive_sequence(tasks, scenario.arm, scenario.scene, scenario.home_task,
-                       home_q=plan.home_config)
-robotsp = robotsp_sequence(tasks, scenario.arm, scenario.scene, scenario.home_task,
-                           home_q=plan.home_config)
+# one checker serves both baselines and the oracle that costs every method
+check = Checker(scenario.arm, scenario.scene)
+naive = naive_sequence(tasks, check, scenario.home_task, home_q=plan.home_config)
+robotsp = robotsp_sequence(tasks, check, scenario.home_task, home_q=plan.home_config)
 
 # every method is costed by the same oracle: adapted straight-seed legs
-oracle = CostOracle(Checker(scenario.arm, scenario.scene), rng_seed=scenario.seed)
+oracle = CostOracle(check, rng_seed=scenario.seed)
 for name, p in (("subspace", plan), ("naive", naive), ("robotsp", robotsp)):
     print("%-9s total cost %.3f" % (name, plan_visit_cost(p, oracle)))
 

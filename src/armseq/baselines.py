@@ -15,11 +15,11 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .kinematics import ArmModel, TaskPoint, ik_solutions, task_distance
+from .kinematics import TaskPoint, ik_solutions, task_distance
 from .motion import Trajectory, plan_leg
 from .sequencer import (HOME, Leg, NoIkSolutionsError, SequencePlan,
                         _straight_leg, solve_tsp)
-from .world import Checker, Scene
+from .world import Checker
 
 
 MAX_ORACLE_TASKS = 6  # most tasks the brute-force oracle enumerates
@@ -83,8 +83,8 @@ def _seed_legs(visit_labels, visit_configs):
     ]
 
 
-def _first_ik(arm, task, scene):
-    sols = ik_solutions(arm, task, scene)
+def _first_ik(check: Checker, task: TaskPoint):
+    sols = ik_solutions(check, task)
     if not sols:
         raise NoIkSolutionsError("task at %r has no valid IK solution" % (task.position,))
     return sols
@@ -101,16 +101,15 @@ def _task_space_order(tasks, home_task) -> list[int]:
     return solve_tsp(W, anchor=0)
 
 
-def naive_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
-                   home_q=None) -> SequencePlan:
+def naive_sequence(tasks, check: Checker, home_task: TaskPoint, home_q=None) -> SequencePlan:
     """Task-space-only baseline: TSP on d_T, first IK solution per task.
 
     Returns a seed plan (straight-line legs); run it through
     :func:`armseq.sequencer.adapt_plan` for executable trajectories.
     """
-    ik_sets = [_first_ik(arm, t, scene) for t in tasks]
+    ik_sets = [_first_ik(check, t) for t in tasks]
     if home_q is None:
-        home_q = _first_ik(arm, home_task, scene)[0]
+        home_q = _first_ik(check, home_task)[0]
     order = _task_space_order(tasks, home_task)
     visit_labels = [HOME] + [i - 1 for i in order[1:]] + [HOME]
     visit_configs = [home_q] + [ik_sets[i - 1][0] for i in order[1:]] + [home_q]
@@ -119,17 +118,16 @@ def naive_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
     return SequencePlan(legs, visit_labels, visit_configs, total, {}, [], home_q)
 
 
-def robotsp_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
-                     home_q=None) -> SequencePlan:
+def robotsp_sequence(tasks, check: Checker, home_task: TaskPoint, home_q=None) -> SequencePlan:
     """Decoupled baseline: task-space tour, then optimal configs by layered search.
 
     Stage 2 builds a layered graph (home, Q(t_sigma[1]), ..., Q(t_sigma[M]),
     home) with d_C arc weights and takes the shortest path through the layers.
     Returns a seed plan, as :func:`naive_sequence` does.
     """
-    ik_sets = [_first_ik(arm, t, scene) for t in tasks]
+    ik_sets = [_first_ik(check, t) for t in tasks]
     if home_q is None:
-        home_q = _first_ik(arm, home_task, scene)[0]
+        home_q = _first_ik(check, home_task)[0]
     order = _task_space_order(tasks, home_task)
     task_seq = [i - 1 for i in order[1:]]
     layers = [[home_q]] + [ik_sets[i] for i in task_seq] + [[home_q]]
@@ -152,20 +150,20 @@ def robotsp_sequence(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
     return SequencePlan(legs, visit_labels, visit_configs, total, {}, [], home_q)
 
 
-def gtsp_bruteforce(tasks, arm: ArmModel, scene: Scene, home_task: TaskPoint,
-                    cost: CostOracle, home_q=None):
+def gtsp_bruteforce(tasks, home_task: TaskPoint, cost: CostOracle, home_q=None):
     """Exhaustive optimum over IK assignments x permutations, anchored at home.
 
+    IK comes from ``cost.check``, the checker that also prices every leg.
     Refuses instances beyond ``MAX_ORACLE_TASKS`` tasks or ``MAX_ORACLE_IK``
     IK solutions per task. Returns (assignment, permutation, cost).
     """
     if len(tasks) > MAX_ORACLE_TASKS:
         raise TooLargeError("instance has %d tasks; limit is %d" % (len(tasks), MAX_ORACLE_TASKS))
-    ik_sets = [_first_ik(arm, t, scene) for t in tasks]
+    ik_sets = [_first_ik(cost.check, t) for t in tasks]
     if any(len(s) > MAX_ORACLE_IK for s in ik_sets):
         raise TooLargeError("a task has more than %d IK solutions" % MAX_ORACLE_IK)
     if home_q is None:
-        home_q = _first_ik(arm, home_task, scene)[0]
+        home_q = _first_ik(cost.check, home_task)[0]
     best_cost = math.inf
     best_assign = None
     best_perm = None

@@ -51,7 +51,7 @@ def verify_decomposition(dec: Decomposition, epsilon: float):
 def sample_tasks(scenario: Scenario, count: int, rng: np.random.Generator) -> list[TaskPoint]:
     """Uniform rejection sampling over the grid region, keeping IK-feasible points."""
     xmin, ymin, xmax, ymax = scenario.grid_region
-    scene = scenario.full_scene()
+    check = Checker(scenario.arm, scenario.full_scene())
     out: list[TaskPoint] = []
     attempts = 0
     while len(out) < count:
@@ -59,7 +59,7 @@ def sample_tasks(scenario: Scenario, count: int, rng: np.random.Generator) -> li
         if attempts > MAX_ATTEMPTS_PER_TASK * count:
             raise RuntimeError("task sampling failed: region mostly unreachable")
         p = TaskPoint((float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))))
-        if ik_solutions(scenario.arm, p, scene):
+        if ik_solutions(check, p):
             out.append(p)
     return out
 
@@ -105,8 +105,9 @@ def run_trial(scenario: Scenario, dec: Decomposition, tasks, trial_seed: int,
     scene = scenario.full_scene()
     arm = scenario.arm
     seq_params = SequencingParams(scenario.k, scenario.threshold)
-    home_q = home_config(dec, scenario.home_task, arm, scene)
-    oracle = CostOracle(Checker(arm, scene, scenario.step), trial_seed, scenario.timeout)
+    check = Checker(arm, scene, scenario.step)
+    home_q = home_config(dec, scenario.home_task, check)
+    oracle = CostOracle(check, trial_seed, scenario.timeout)
     rows = []
     for method in METHODS:
         t0 = time.perf_counter()
@@ -114,9 +115,9 @@ def run_trial(scenario: Scenario, dec: Decomposition, tasks, trial_seed: int,
             plan = sequence(tasks, dec, scenario.home_task, seq_params, arm, scene,
                             home_q=home_q)
         elif method == "naive":
-            plan = naive_sequence(tasks, arm, scene, scenario.home_task, home_q=home_q)
+            plan = naive_sequence(tasks, check, scenario.home_task, home_q=home_q)
         else:
-            plan = robotsp_sequence(tasks, arm, scene, scenario.home_task, home_q=home_q)
+            plan = robotsp_sequence(tasks, check, scenario.home_task, home_q=home_q)
         t1 = time.perf_counter()
         adapted = adapt_plan(plan, arm, scene, scenario.step, rng_seed=trial_seed,
                              timeout=scenario.timeout, dt=scenario.dt,

@@ -12,6 +12,7 @@ import sys
 import time
 
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
+from .decomposition import EmptyGraphError
 from .render import render_decomposition_svg, render_plan_svg
 from .sequencer import NoIkSolutionsError, SequencingParams, adapt_plan, sequence
 from .serialize import (SchemaError, _object, _pair, artifact_from_dict, artifact_to_dict,
@@ -171,12 +172,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise SchemaError("--seed: must be non-negative")
         return args.func(args)
     except SchemaError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print("input error: %s: %s" % (exc.filename, exc.strerror), file=sys.stderr)
+        return EXIT_INPUT
+    except EmptyGraphError as exc:
+        print("input error: scenario.task_grid: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except NoIkSolutionsError as exc:
         print("unplannable: %s" % exc, file=sys.stderr)

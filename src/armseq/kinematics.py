@@ -68,7 +68,9 @@ class ArmModel:
         return len(self.link_lengths)
 
     def at_base(self, base) -> "ArmModel":
-        """Same arm translated to a new base position (mobile-base variant)."""
+        """Same arm translated to a new base position; ``None`` keeps this arm."""
+        if base is None:
+            return self
         return replace(self, base_position=(float(base[0]), float(base[1])))
 
 
@@ -168,8 +170,9 @@ def _ik_candidates(arm: ArmModel, target) -> list[np.ndarray]:
     return cands
 
 
-def ik_solutions(arm: ArmModel, task: TaskPoint, scene) -> list[np.ndarray]:
-    """Valid IK set Q(t): collision-free, in-limit configurations reaching ``task``.
+def ik_solutions(check, task: TaskPoint) -> list[np.ndarray]:
+    """Valid IK set Q(t): configurations of ``check.arm`` reaching ``task`` that
+    ``check.valid`` accepts (``check`` is a :class:`armseq.world.Checker`).
 
     For 2 DOF this is the analytic elbow branch set; for 3 DOF the first joint
     is swept at ``free_joint_resolution`` and the remaining 2-link subproblem is
@@ -177,15 +180,14 @@ def ik_solutions(arm: ArmModel, task: TaskPoint, scene) -> list[np.ndarray]:
     sorted lexicographically by angles, so identical inputs give identical lists.
     An empty list means the target is unreachable or fully colliding.
     """
-    from .world import config_valid  # deferred: world depends on this module
-
+    arm = check.arm
     target = np.asarray(task.position, dtype=float)
     kept = []
     for q in _ik_candidates(arm, target):
         tip, _ = forward_kinematics(arm, q)
         if math.hypot(tip[0] - target[0], tip[1] - target[1]) > TIP_TOLERANCE:
             continue
-        if config_valid(arm, q, scene):
+        if check.valid(q):
             kept.append(q)
     kept.sort(key=tuple)
     out: list[np.ndarray] = []

@@ -74,31 +74,6 @@ def _subdivided(waypoints, max_span: float) -> list[np.ndarray]:
     return out
 
 
-def _collinear(a, b, c, tol: float = 1e-9) -> bool:
-    """True when b lies on the straight segment from a to c."""
-    ac = c - a
-    ab = b - a
-    denom = float(np.dot(ac, ac))
-    if denom == 0.0:
-        return bool(np.all(np.abs(ab) <= tol))
-    s = float(np.dot(ab, ac)) / denom
-    if s < -tol or s > 1.0 + tol:
-        return False
-    return bool(np.all(np.abs(ab - s * ac) <= tol))
-
-
-def _prune_collinear(waypoints) -> list[np.ndarray]:
-    """Drop interior waypoints lying exactly on the segment of their neighbours."""
-    if len(waypoints) < 3:
-        return list(waypoints)
-    pruned = [waypoints[0]]
-    for i in range(1, len(waypoints) - 1):
-        if not _collinear(pruned[-1], waypoints[i], waypoints[i + 1]):
-            pruned.append(waypoints[i])
-    pruned.append(waypoints[-1])
-    return pruned
-
-
 def _shortcut(waypoints, check: Checker, rng) -> list[np.ndarray]:
     wps = list(waypoints)
     for _ in range(SHORTCUT_ATTEMPTS):
@@ -121,7 +96,7 @@ def _shortcut(waypoints, check: Checker, rng) -> list[np.ndarray]:
 
 
 def adapt_trajectory(seed: Trajectory, check: Checker, rng_seed: int = 0) -> Trajectory:
-    """Adapt a seed to the checker's scene: repair, shortcut, straighten, prune.
+    """Adapt a seed to the checker's scene: repair, shortcut, straighten.
 
     The result preserves both endpoints exactly, passes ``check.motion`` on
     every segment and never exceeds the config length of a valid seed.
@@ -169,7 +144,6 @@ def adapt_trajectory(seed: Trajectory, check: Checker, rng_seed: int = 0) -> Tra
             wps[idx] = cand
         bad = first_invalid()
     wps = _shortcut(wps, check, rng)
-    wps = _prune_collinear(wps)
     return Trajectory(wps, source=SOURCE_ADAPTED)
 
 
@@ -245,7 +219,6 @@ def fallback_plan(q_start, q_goal, check: Checker, timeout: float = 2.0,
                 chain_b = _chain(pts_b, par_b, meet)
                 wps = chain_a + chain_b[-2::-1] if a == 0 else chain_b + chain_a[-2::-1]
                 wps = _shortcut(wps, check, rng)
-                wps = _prune_collinear(wps)
                 wps[0] = q_start.copy()
                 wps[-1] = q_goal.copy()
                 return Trajectory(wps, source=SOURCE_FALLBACK)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .decomposition import Decomposition
 from .kinematics import ArmModel, forward_kinematics
 from .motion import _subdivided
-from .sequencer import SequencePlan, _arm_for
+from .sequencer import SequencePlan
 from .world import Box, Disc, Scene
 
 PALETTE = ["#2f9e44", "#1971c2", "#e8590c", "#9c36b5", "#c2a000", "#0ca678"]
@@ -144,7 +144,7 @@ def render_decomposition_svg(dec: Decomposition, scene: Scene, arm: ArmModel) ->
             if p.position not in membership:
                 cv.dot(p.position[0], p.position[1], 2.0, "#bbbbbb")
     for mi, m in enumerate(dec.maps):
-        _draw_arm(cv, _arm_for(arm, m), m.root_config, PALETTE[mi % len(PALETTE)])
+        _draw_arm(cv, arm.at_base(m.base_pose), m.root_config, PALETTE[mi % len(PALETTE)])
     return cv.svg()
 
 

@@ -79,28 +79,24 @@ class SequencePlan:
         return [i for i, leg in enumerate(self.legs) if leg.valid is False]
 
 
-def _arm_for(arm: ArmModel, m: GhaMap) -> ArmModel:
-    return arm.at_base(m.base_pose) if m.base_pose is not None else arm
-
-
 def match_task(task: TaskPoint, decomposition: Decomposition, k: int,
-               threshold: float, arm: ArmModel, scene: Scene) -> TaskMatch:
+               threshold: float, check: Checker) -> TaskMatch:
     """Match a task to a map via the k nearest mapped nodes and IK similarity.
 
     Maps are tried in discovery order and the first whose best (task IK,
     node assignment) pair has L2 distance below ``threshold`` wins, biasing
     matches to earlier maps. If no map clears the threshold the globally
-    best pair is returned instead.
+    best pair is returned instead. The task's IK comes from ``check`` moved to
+    each map's base pose, once per base.
     """
     tx, ty = task.position
     ik_cache: dict[int | None, list[np.ndarray]] = {}
     global_best: TaskMatch | None = None
     any_ik = False
     for mi, m in enumerate(decomposition.maps):
-        arm_m = _arm_for(arm, m)
         key = m.base_index
         if key not in ik_cache:
-            ik_cache[key] = ik_solutions(arm_m, TaskPoint(task.position), scene)
+            ik_cache[key] = ik_solutions(check.at_base(m.base_pose), TaskPoint(task.position))
         candidates = ik_cache[key]
         if not candidates:
             continue
@@ -147,9 +143,9 @@ def intra_subspace_trajectory(m: GhaMap, graph: TaskGraph, match_a: TaskMatch,
 
 
 def home_config(decomposition: Decomposition, home_task: TaskPoint,
-                arm: ArmModel, scene: Scene) -> np.ndarray:
+                check: Checker) -> np.ndarray:
     """Home IK solution closest (d_C) to the first map's mean configuration."""
-    candidates = ik_solutions(arm, home_task, scene)
+    candidates = ik_solutions(check, home_task)
     if not candidates:
         raise NoIkSolutionsError("home task at %r has no valid IK solution"
                                  % (home_task.position,))
@@ -269,16 +265,16 @@ def sequence(tasks, decomposition: Decomposition, home_task: TaskPoint,
     exactly. Tasks with no IK solution are listed in ``unplanned`` rather
     than silently dropped.
     """
+    check = Checker(arm, scene)
     matches: dict[int, TaskMatch] = {}
     unplanned: list[int] = []
     for ti, task in enumerate(tasks):
         try:
-            matches[ti] = match_task(task, decomposition, params.k, params.threshold,
-                                     arm, scene)
+            matches[ti] = match_task(task, decomposition, params.k, params.threshold, check)
         except NoIkSolutionsError:
             unplanned.append(ti)
     if home_q is None:
-        home_q = home_config(decomposition, home_task, arm, scene)
+        home_q = home_config(decomposition, home_task, check)
     groups: dict[int, list[int]] = {}
     for ti in sorted(matches):
         groups.setdefault(matches[ti].map_index, []).append(ti)

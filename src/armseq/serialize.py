@@ -67,6 +67,11 @@ def _maybe(mapping, key, kind, path):
     return None if value is None else _field(value, kind, "%s.%s" % (path, key))
 
 
+def _ensure(ok, path, rule):
+    if not ok:
+        raise SchemaError("%s: %s" % (path, rule))
+
+
 def _ints(values, path) -> list[int]:
     if not isinstance(values, list):
         raise SchemaError("%s: expected a list of integers" % path)
@@ -192,6 +197,7 @@ class Scenario:
         if _object(data, path).get("schema_version") != SCHEMA_VERSION:
             raise SchemaError("%s.schema_version: expected %d" % (path, SCHEMA_VERSION))
         self.seed = _req(data, "seed", int, path)
+        _ensure(self.seed >= 0, path + ".seed", "must be non-negative")
         self.arm = arm_from_dict(_req(data, "arm", dict, path), path + ".arm")
         self.scene = scene_from_list(_req(data, "scene", list, path))
         self.online_obstacles = scene_from_list(data.get("online_obstacles") or [],
@@ -202,24 +208,26 @@ class Scenario:
             raise SchemaError("%s.task_grid.region: expected [xmin, ymin, xmax, ymax]" % path)
         self.grid_region = tuple(_field(v, float, "%s.task_grid.region[%d]" % (path, i))
                                  for i, v in enumerate(region))
+        xmin, ymin, xmax, ymax = self.grid_region
+        _ensure(xmin <= xmax and ymin <= ymax and (xmin, ymin) != (xmax, ymax),
+                path + ".task_grid.region", "need xmin <= xmax and ymin <= ymax, not one point")
         self.grid_spacing = _req(grid, "spacing", float, path + ".task_grid")
-        if self.grid_spacing <= 0:
-            raise SchemaError("%s.task_grid.spacing: must be positive" % path)
+        _ensure(self.grid_spacing > 0, path + ".task_grid.spacing", "must be positive")
         self.connection_radius = _req(data, "connection_radius", float, path)
+        _ensure(self.connection_radius > 0, path + ".connection_radius", "must be positive")
         self.edge_check_count = _opt(data, "edge_check_count", int, 5, path)
-        if self.edge_check_count < 2:
-            raise SchemaError("%s.edge_check_count: must be at least 2" % path)
+        _ensure(self.edge_check_count >= 2, path + ".edge_check_count", "must be at least 2")
         dparams = params_from_dict(_req(data, "decomposition", dict, path),
                                    path + ".decomposition")
         dparams.rng_seed = self.seed
         self.decomposition = dparams
+        _ensure(self.connection_radius <= dparams.epsilon, path + ".connection_radius",
+                "%g exceeds decomposition.epsilon %g" % (self.connection_radius, dparams.epsilon))
         seq = _req(data, "sequencing", dict, path)
         self.k = _opt(seq, "k", int, 10, path + ".sequencing")
         self.threshold = _opt(seq, "threshold", float, 0.7, path + ".sequencing")
-        if self.k < 1:
-            raise SchemaError("%s.sequencing.k: must be at least 1" % path)
-        if self.threshold <= 0:
-            raise SchemaError("%s.sequencing.threshold: must be positive" % path)
+        _ensure(self.k >= 1, path + ".sequencing.k", "must be at least 1")
+        _ensure(self.threshold > 0, path + ".sequencing.threshold", "must be positive")
         self.home_task = TaskPoint(_pair(_req(seq, "home_task", list, path + ".sequencing"),
                                          path + ".sequencing.home_task"))
         motion = data.get("motion") or {}
@@ -227,8 +235,7 @@ class Scenario:
         self.timeout = _opt(motion, "timeout", float, 2.0, path + ".motion")
         self.dt = _opt(motion, "dt", float, 0.01, path + ".motion")
         for key in ("step", "dt"):
-            if getattr(self, key) <= 0:
-                raise SchemaError("%s.motion.%s: must be positive" % (path, key))
+            _ensure(getattr(self, key) > 0, "%s.motion.%s" % (path, key), "must be positive")
         self.base_poses = None
         if data.get("base_poses"):
             self.base_poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
@@ -237,7 +244,10 @@ class Scenario:
         counts = _opt(bench, "task_counts", list, [3, 5, 8], path + ".bench")
         self.task_counts = [_field(c, int, "%s.bench.task_counts[%d]" % (path, i))
                             for i, c in enumerate(counts)]
+        for i, c in enumerate(self.task_counts):
+            _ensure(c >= 1, "%s.bench.task_counts[%d]" % (path, i), "must be at least 1")
         self.trials = _opt(bench, "trials", int, 10, path + ".bench")
+        _ensure(self.trials >= 1, path + ".bench.trials", "must be at least 1")
         self.tasks = [TaskPoint(_pair(t, "%s.tasks[%d]" % (path, i)))
                       for i, t in enumerate(data.get("tasks") or [])]
         self.raw = data

@@ -15,7 +15,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .kinematics import ArmModel, TaskPoint, ik_solutions, task_distance
-from .world import Scene
+from .world import Checker, Scene
 
 
 class IslandWarning(UserWarning):
@@ -135,10 +135,11 @@ def build_graph(points, radius: float, arm: ArmModel, scene: Scene,
         raise ValueError("radius must be positive")
     if edge_check_count < 2:
         raise ValueError("edge_check_count must be at least 2")
+    check = Checker(arm, scene)
     nodes: list[TaskPoint] = []
     ik_sets: list[list[np.ndarray]] = []
     for p in points:
-        sols = ik_solutions(arm, p, scene)
+        sols = ik_solutions(check, p)
         if sols:
             nodes.append(p)
             ik_sets.append(sols)
@@ -155,7 +156,7 @@ def build_graph(points, radius: float, arm: ArmModel, scene: Scene,
                 s = k / (edge_check_count - 1)
                 mid = TaskPoint((xi + s * (xj - xi), yi + s * (yj - yi)),
                                 base_index=nodes[i].base_index)
-                if not ik_solutions(arm, mid, scene):
+                if not ik_solutions(check, mid):
                     feasible = False
                     break
             if feasible:

@@ -8,7 +8,7 @@ separating the static offline model from obstacles discovered online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -172,3 +172,7 @@ class Checker:
 
     def motion(self, a, b) -> bool:
         return motion_valid(self.arm, a, b, self.scene, self.step)
+
+    def at_base(self, base) -> "Checker":
+        """The checker for this arm moved to ``base``; ``None`` keeps this checker."""
+        return self if base is None else replace(self, arm=self.arm.at_base(base))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from armseq import (ArmModel, Scene, build_graph, build_task_grid, decompose)
+from armseq import (ArmModel, Checker, Scene, build_graph, build_task_grid, decompose)
 from armseq.serialize import Scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -33,6 +33,11 @@ def arm3():
 @pytest.fixture(scope="session")
 def empty_scene():
     return Scene()
+
+
+@pytest.fixture(scope="session")
+def check2(arm2, empty_scene):
+    return Checker(arm2, empty_scene)
 
 
 @pytest.fixture(scope="session")

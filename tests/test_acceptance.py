@@ -113,9 +113,9 @@ def test_criterion_05_sequencing_beats_naive(scenario_json):
     plan = sequence(scenario.tasks, dec, scenario.home_task,
                     SequencingParams(scenario.k, scenario.threshold),
                     scenario.arm, scene)
-    naive = naive_sequence(scenario.tasks, scenario.arm, scene,
-                           scenario.home_task, home_q=plan.home_config)
-    oracle = CostOracle(Checker(scenario.arm, scene), rng_seed=scenario.seed)
+    check = Checker(scenario.arm, scene)
+    naive = naive_sequence(scenario.tasks, check, scenario.home_task, home_q=plan.home_config)
+    oracle = CostOracle(check, rng_seed=scenario.seed)
     ours = plan_visit_cost(plan, oracle)
     base = plan_visit_cost(naive, oracle)
     _report(5, ours < base,
@@ -128,23 +128,23 @@ def test_criterion_06_oracle_sandwich(fig1):
     arm, scene = scenario.arm, scenario.scene
     params = SequencingParams(scenario.k, scenario.threshold)
     rng = np.random.default_rng(606)
-    home_q = home_config(dec, scenario.home_task, arm, scene)
+    check = Checker(arm, scene)
+    home_q = home_config(dec, scenario.home_task, check)
     xmin, ymin, xmax, ymax = scenario.grid_region
     worst_gap = np.inf
     for _ in range(20):
         tasks = []
         while len(tasks) < 3:
             p = TaskPoint((float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))))
-            if 1 <= len(ik_solutions(arm, p, scene)) <= 3:
+            if 1 <= len(ik_solutions(check, p)) <= 3:
                 tasks.append(p)
-        oracle = CostOracle(Checker(arm, scene), rng_seed=6)
-        _, _, opt = gtsp_bruteforce(tasks, arm, scene, scenario.home_task, oracle,
-                                    home_q=home_q)
+        oracle = CostOracle(check, rng_seed=6)
+        _, _, opt = gtsp_bruteforce(tasks, scenario.home_task, oracle, home_q=home_q)
         ours = plan_visit_cost(sequence(tasks, dec, scenario.home_task, params,
                                         arm, scene, home_q=home_q), oracle)
-        naive = plan_visit_cost(naive_sequence(tasks, arm, scene, scenario.home_task,
+        naive = plan_visit_cost(naive_sequence(tasks, check, scenario.home_task,
                                                home_q=home_q), oracle)
-        robo = plan_visit_cost(robotsp_sequence(tasks, arm, scene, scenario.home_task,
+        robo = plan_visit_cost(robotsp_sequence(tasks, check, scenario.home_task,
                                                 home_q=home_q), oracle)
         for cost in (ours, ours, naive, robo):  # seeded and straight variants share configs
             assert opt <= cost + 1e-9
@@ -217,6 +217,7 @@ def test_criterion_10_validity_closure(fig1):
     arm = scenario.arm
     params = SequencingParams(scenario.k, scenario.threshold)
     step = scenario.step
+    check = Checker(arm, scene)
     checked = 0
     failed = 0
     for trial in range(3):
@@ -224,7 +225,7 @@ def test_criterion_10_validity_closure(fig1):
         tasks = []
         while len(tasks) < 4:
             p = TaskPoint((float(rng.uniform(-1.2, 1.2)), float(rng.uniform(0.6, 1.2))))
-            if ik_solutions(arm, p, scene):
+            if ik_solutions(check, p):
                 tasks.append(p)
         seed_plan = sequence(tasks, dec, scenario.home_task, params, arm, scene)
         for straight in (False, True):
@@ -237,7 +238,7 @@ def test_criterion_10_validity_closure(fig1):
                     checked += 1
                     if not motion_valid(arm, a, b, scene, step / 2):
                         failed += 1
-        naive = adapt_plan(naive_sequence(tasks, arm, scene, scenario.home_task,
+        naive = adapt_plan(naive_sequence(tasks, check, scenario.home_task,
                                           home_q=seed_plan.home_config),
                            arm, scene, step, rng_seed=trial, timeout=scenario.timeout)
         for leg in naive.legs:

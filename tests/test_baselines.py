@@ -10,8 +10,8 @@ from armseq import (HOME, Checker, CostOracle, TaskPoint, TooLargeError, config_
 from armseq.sequencer import closed_tour_cost, solve_tsp
 
 
-def test_cost_oracle_symmetric_and_cached(arm2, empty_scene):
-    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=5)
+def test_cost_oracle_symmetric_and_cached(check2):
+    oracle = CostOracle(check2, rng_seed=5)
     a = np.array([0.1, 0.2])
     b = np.array([1.0, -0.7])
     assert oracle.cost(a, b) == oracle.cost(b, a)
@@ -35,18 +35,18 @@ def test_cost_oracle_deterministic(arm2):
     assert math.isfinite(c1)
 
 
-def test_naive_single_task(arm2, empty_scene):
+def test_naive_single_task(check2):
     home = TaskPoint((1.2, 0.6))
-    plan = naive_sequence([TaskPoint((0.8, 0.9))], arm2, empty_scene, home)
+    plan = naive_sequence([TaskPoint((0.8, 0.9))], check2, home)
     assert plan.visit_order == [HOME, 0, HOME]
     assert len(plan.legs) == 2
 
 
-def test_naive_order_matches_task_space_brute_force(arm2, empty_scene):
+def test_naive_order_matches_task_space_brute_force(check2):
     home = TaskPoint((0.0, 1.2))
     tasks = [TaskPoint((-0.9, 0.9)), TaskPoint((0.3, 0.9)), TaskPoint((0.9, 0.9)),
              TaskPoint((-0.3, 0.9))]
-    plan = naive_sequence(tasks, arm2, empty_scene, home)
+    plan = naive_sequence(tasks, check2, home)
     got_order = [v for v in plan.visit_order[1:-1]]
     pts = [home] + tasks
     best = math.inf
@@ -63,10 +63,10 @@ def test_naive_order_matches_task_space_brute_force(arm2, empty_scene):
     assert got_cost == pytest.approx(best, abs=1e-9)
 
 
-def test_naive_first_ik_rule(arm2, empty_scene):
+def test_naive_first_ik_rule(check2):
     task = TaskPoint((1.0, 1.0))
-    plan = naive_sequence([task], arm2, empty_scene, TaskPoint((1.5, 0.5)))
-    expected = ik_solutions(arm2, task, empty_scene)[0]
+    plan = naive_sequence([task], check2, TaskPoint((1.5, 0.5)))
+    expected = ik_solutions(check2, task)[0]
     assert np.array_equal(plan.visit_configs[1], expected)
 
 
@@ -76,23 +76,24 @@ def test_robotsp_single_ik_matches_naive(arm2):
     # the right-hand box strips the elbow-down branch: every task has one IK
     scene = Scene((Box(0.8, -0.5, 1.15, 0.1),))
     tasks = [TaskPoint((0.85, 0.75)), TaskPoint((1.05, 0.65))]
+    check = Checker(arm2, scene)
     for t in tasks:
-        assert len(ik_solutions(arm2, t, scene)) == 1
+        assert len(ik_solutions(check, t)) == 1
     home = TaskPoint((0.3, 1.1))
-    nv = naive_sequence(tasks, arm2, scene, home)
-    rb = robotsp_sequence(tasks, arm2, scene, home)
+    nv = naive_sequence(tasks, check, home)
+    rb = robotsp_sequence(tasks, check, home)
     assert nv.visit_order == rb.visit_order
     for a, b in zip(nv.visit_configs, rb.visit_configs):
         assert np.array_equal(a, b)
 
 
-def test_robotsp_layered_search_matches_enumeration(arm2, empty_scene):
+def test_robotsp_layered_search_matches_enumeration(check2):
     tasks = [TaskPoint((1.0, 1.0)), TaskPoint((1.2, 0.8))]
     home = TaskPoint((0.9, 1.15))
-    plan = robotsp_sequence(tasks, arm2, empty_scene, home)
+    plan = robotsp_sequence(tasks, check2, home)
     order = [v for v in plan.visit_order[1:-1]]
     home_q = plan.home_config
-    ik = [ik_solutions(arm2, t, empty_scene) for t in tasks]
+    ik = [ik_solutions(check2, t) for t in tasks]
     best = math.inf
     for qa in ik[order[0]]:
         for qb in ik[order[1]]:
@@ -104,46 +105,44 @@ def test_robotsp_layered_search_matches_enumeration(arm2, empty_scene):
     assert got == pytest.approx(best, abs=1e-9)
 
 
-def test_robotsp_picks_cheap_cross_branch_pairing(arm2, empty_scene):
+def test_robotsp_picks_cheap_cross_branch_pairing(check2):
     # two dual-branch tasks: the layered search must choose the consistent pair
     tasks = [TaskPoint((1.0, 1.0)), TaskPoint((0.9, 1.1))]
     home = TaskPoint((1.1, 0.9))
-    plan = robotsp_sequence(tasks, arm2, empty_scene, home)
+    plan = robotsp_sequence(tasks, check2, home)
     q1, q2 = plan.visit_configs[1], plan.visit_configs[2]
     # consistent elbow choice keeps consecutive configs close
     assert config_distance(q1, q2) < 0.5
 
 
-def test_robotsp_tie_keeps_lowest_predecessor(monkeypatch, arm2, empty_scene):
+def test_robotsp_tie_keeps_lowest_predecessor(monkeypatch, check2):
     import armseq.baselines as baselines_mod
 
     # from home (0, 0) the last two candidates tie at 0.2 out and 0.2 back
     candidates = [np.array([-1.0, 0.0]), np.array([-0.2, 0.0]), np.array([0.2, 0.0])]
-    monkeypatch.setattr(baselines_mod, "_first_ik", lambda arm, task, scene: candidates)
-    plan = robotsp_sequence([TaskPoint((1.0, 1.0))], arm2, empty_scene,
-                            TaskPoint((1.2, 0.6)), home_q=np.zeros(2))
+    monkeypatch.setattr(baselines_mod, "_first_ik", lambda check, task: candidates)
+    plan = robotsp_sequence([TaskPoint((1.0, 1.0))], check2, TaskPoint((1.2, 0.6)),
+                            home_q=np.zeros(2))
     assert np.array_equal(plan.visit_configs[1], candidates[1])
 
 
-def test_gtsp_single_task_two_ik(arm2, empty_scene):
-    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=1)
+def test_gtsp_single_task_two_ik(check2):
+    oracle = CostOracle(check2, rng_seed=1)
     task = TaskPoint((1.0, 1.0))
     home_q = np.array([0.3, 0.8])
-    assign, perm, cost = gtsp_bruteforce([task], arm2, empty_scene,
-                                         TaskPoint((1.2, 0.7)), oracle, home_q=home_q)
-    ik = ik_solutions(arm2, task, empty_scene)
+    assign, perm, cost = gtsp_bruteforce([task], TaskPoint((1.2, 0.7)), oracle, home_q=home_q)
+    ik = ik_solutions(check2, task)
     expected = min(oracle.cost(home_q, q) + oracle.cost(q, home_q) for q in ik)
     assert cost == pytest.approx(expected, abs=1e-12)
     assert perm == (0,)
 
 
-def test_gtsp_three_tasks_matches_independent_enumeration(arm2, empty_scene):
-    oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=2)
+def test_gtsp_three_tasks_matches_independent_enumeration(check2):
+    oracle = CostOracle(check2, rng_seed=2)
     tasks = [TaskPoint((1.0, 1.0)), TaskPoint((0.4, 1.2)), TaskPoint((1.3, 0.5))]
     home_q = np.array([0.5, 0.5])
-    assign, perm, cost = gtsp_bruteforce(tasks, arm2, empty_scene,
-                                         TaskPoint((0.9, 0.9)), oracle, home_q=home_q)
-    ik = [ik_solutions(arm2, t, empty_scene) for t in tasks]
+    assign, perm, cost = gtsp_bruteforce(tasks, TaskPoint((0.9, 0.9)), oracle, home_q=home_q)
+    ik = [ik_solutions(check2, t) for t in tasks]
     best = math.inf
     for combo in itertools.product(*ik):
         for order in itertools.permutations(range(3)):
@@ -155,34 +154,31 @@ def test_gtsp_three_tasks_matches_independent_enumeration(arm2, empty_scene):
     assert cost == pytest.approx(best, abs=1e-12)
 
 
-def test_gtsp_enforces_limits(arm2, arm3, empty_scene):
-    oracle = CostOracle(Checker(arm2, empty_scene))
+def test_gtsp_enforces_limits(arm3, empty_scene, check2):
+    oracle = CostOracle(check2)
     tasks = [TaskPoint((0.9, 0.9))] * 7
     with pytest.raises(TooLargeError):
-        gtsp_bruteforce(tasks, arm2, empty_scene, TaskPoint((1.0, 0.5)), oracle)
+        gtsp_bruteforce(tasks, TaskPoint((1.0, 0.5)), oracle)
     oracle3 = CostOracle(Checker(arm3, empty_scene))
     many_ik = TaskPoint((0.8, 0.4))
-    assert len(ik_solutions(arm3, many_ik, empty_scene)) > 4
+    assert len(ik_solutions(oracle3.check, many_ik)) > 4
     with pytest.raises(TooLargeError):
-        gtsp_bruteforce([many_ik], arm3, empty_scene, TaskPoint((0.7, 0.3)), oracle3)
+        gtsp_bruteforce([many_ik], TaskPoint((0.7, 0.3)), oracle3)
 
 
-def test_oracle_lower_bounds_methods_small_instance(arm2, empty_scene):
+def test_oracle_lower_bounds_methods_small_instance(check2):
     rng = np.random.default_rng(31)
     home = TaskPoint((0.2, 1.1))
     for _ in range(5):
         tasks = []
         while len(tasks) < 3:
             p = TaskPoint((float(rng.uniform(-1.2, 1.2)), float(rng.uniform(0.5, 1.2))))
-            if 1 <= len(ik_solutions(arm2, p, empty_scene)) <= 3:
+            if 1 <= len(ik_solutions(check2, p)) <= 3:
                 tasks.append(p)
-        oracle = CostOracle(Checker(arm2, empty_scene), rng_seed=3)
-        home_q = ik_solutions(arm2, home, empty_scene)[0]
-        _, _, opt = gtsp_bruteforce(tasks, arm2, empty_scene, home, oracle,
-                                    home_q=home_q)
-        naive = plan_visit_cost(naive_sequence(tasks, arm2, empty_scene, home,
-                                               home_q=home_q), oracle)
-        robo = plan_visit_cost(robotsp_sequence(tasks, arm2, empty_scene, home,
-                                                home_q=home_q), oracle)
+        oracle = CostOracle(check2, rng_seed=3)
+        home_q = ik_solutions(check2, home)[0]
+        _, _, opt = gtsp_bruteforce(tasks, home, oracle, home_q=home_q)
+        naive = plan_visit_cost(naive_sequence(tasks, check2, home, home_q=home_q), oracle)
+        robo = plan_visit_cost(robotsp_sequence(tasks, check2, home, home_q=home_q), oracle)
         assert opt <= naive + 1e-9
         assert opt <= robo + 1e-9

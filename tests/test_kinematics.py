@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from armseq import (ArmModel, Scene, TaskPoint, config_distance,
+from armseq import (ArmModel, Checker, Scene, TaskPoint, config_distance,
                     forward_kinematics, ik_solutions, task_distance)
 
 
@@ -29,31 +29,31 @@ def test_fk_translated_base(arm2):
     assert np.allclose(joints[0], [0.5, -0.25])
 
 
-def test_ik_boundary_single_solution(arm2, empty_scene):
-    sols = ik_solutions(arm2, TaskPoint((2.0, 0.0)), empty_scene)
+def test_ik_boundary_single_solution(check2):
+    sols = ik_solutions(check2, TaskPoint((2.0, 0.0)))
     assert len(sols) == 1
     assert np.allclose(sols[0], [0.0, 0.0], atol=1e-9)
 
 
-def test_ik_unreachable_empty(arm2, empty_scene):
-    assert ik_solutions(arm2, TaskPoint((3.0, 0.0)), empty_scene) == []
+def test_ik_unreachable_empty(check2):
+    assert ik_solutions(check2, TaskPoint((3.0, 0.0))) == []
 
 
-def test_ik_two_branches(arm2, empty_scene):
-    sols = ik_solutions(arm2, TaskPoint((1.0, 1.0)), empty_scene)
+def test_ik_two_branches(check2):
+    sols = ik_solutions(check2, TaskPoint((1.0, 1.0)))
     assert len(sols) == 2
     assert np.allclose(sols[0], [0.0, math.pi / 2], atol=1e-9)
     assert np.allclose(sols[1], [math.pi / 2, -math.pi / 2], atol=1e-9)
 
 
-def test_ik_round_trip_random_targets(arm2, empty_scene):
+def test_ik_round_trip_random_targets(arm2, check2):
     rng = np.random.default_rng(12)
     checked = 0
     for _ in range(200):
         r = rng.uniform(0.2, 1.95)
         phi = rng.uniform(-math.pi, math.pi)
         target = (r * math.cos(phi), r * math.sin(phi))
-        for q in ik_solutions(arm2, TaskPoint(target), empty_scene):
+        for q in ik_solutions(check2, TaskPoint(target)):
             tip, _ = forward_kinematics(arm2, q)
             assert math.hypot(tip[0] - target[0], tip[1] - target[1]) <= 1e-9
             assert all(lo <= qi <= hi for qi, (lo, hi) in zip(q, arm2.joint_limits))
@@ -62,7 +62,7 @@ def test_ik_round_trip_random_targets(arm2, empty_scene):
 
 
 def test_ik_three_dof_sweeps_free_joint(arm3, empty_scene):
-    sols = ik_solutions(arm3, TaskPoint((0.8, 0.4)), empty_scene)
+    sols = ik_solutions(Checker(arm3, empty_scene), TaskPoint((0.8, 0.4)))
     assert len(sols) > 20  # one or two solutions per swept first-joint value
     target = np.array([0.8, 0.4])
     for q in sols:
@@ -75,9 +75,9 @@ def test_ik_three_dof_sweeps_free_joint(arm3, empty_scene):
         assert config_distance(a, b) > 1e-6
 
 
-def test_ik_deterministic(arm2, empty_scene):
-    a = ik_solutions(arm2, TaskPoint((0.7, 0.9)), empty_scene)
-    b = ik_solutions(arm2, TaskPoint((0.7, 0.9)), empty_scene)
+def test_ik_deterministic(check2):
+    a = ik_solutions(check2, TaskPoint((0.7, 0.9)))
+    b = ik_solutions(check2, TaskPoint((0.7, 0.9)))
     assert len(a) == len(b)
     for qa, qb in zip(a, b):
         assert np.array_equal(qa, qb)
@@ -144,11 +144,11 @@ def test_arm_model_validation():
 def test_ik_respects_collisions(arm2):
     # a disc sitting on the elbow-up elbow removes exactly that branch
     from armseq import Disc
-    sols_free = ik_solutions(arm2, TaskPoint((1.0, 1.0)), Scene())
+    sols_free = ik_solutions(Checker(arm2, Scene()), TaskPoint((1.0, 1.0)))
     elbow_up_joint, _ = forward_kinematics(arm2, sols_free[0])
     _, joints = forward_kinematics(arm2, sols_free[0])
     elbow = joints[1]
     scene = Scene((Disc((float(elbow[0]), float(elbow[1])), 0.05),))
-    sols = ik_solutions(arm2, TaskPoint((1.0, 1.0)), scene)
+    sols = ik_solutions(Checker(arm2, scene), TaskPoint((1.0, 1.0)))
     assert len(sols) == 1
     assert config_distance(sols[0], sols_free[1]) <= 1e-9

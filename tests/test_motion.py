@@ -21,7 +21,7 @@ def test_adapt_straight_valid_seed_unchanged(arm2, empty_scene):
     assert np.array_equal(out.waypoints[0], a)
     assert np.array_equal(out.waypoints[-1], b)
     assert out.length() == pytest.approx(seed.length(), abs=1e-12)
-    assert len(out.waypoints) == 2  # interior subdivisions pruned away
+    assert len(out.waypoints) == 2  # the greedy pass skips every subdivision point
 
 
 def test_adapt_detour_converges_to_straight(arm2, empty_scene):
@@ -190,6 +190,27 @@ class _FakeChecker:
 
     def motion(self, a, b):
         return self.motion_ok
+
+
+class _RejectsOneSegment(_FakeChecker):
+    """Accepts every configuration and every motion but the one from ``a`` to ``c``."""
+
+    def __init__(self, arm, a, c):
+        super().__init__(arm, True)
+        self.rejected = {(tuple(a), tuple(c)), (tuple(c), tuple(a))}
+
+    def motion(self, p, q):
+        return (tuple(p), tuple(q)) not in self.rejected
+
+
+def test_adapt_keeps_waypoint_the_checker_needs(arm2):
+    # b lies on the straight segment a-c, which the checker rejects; the
+    # result keeps b, so every segment it returns passes check.motion
+    a, b, c = np.array([0.0, 0.0]), np.array([0.2, 0.1]), np.array([0.4, 0.2])
+    check = _RejectsOneSegment(arm2, a, c)
+    out = adapt_trajectory(Trajectory([a, b, c]), check)
+    assert [w.tolist() for w in out.waypoints] == [a.tolist(), b.tolist(), c.tolist()]
+    assert all(check.motion(x, y) for x, y in zip(out.waypoints, out.waypoints[1:]))
 
 
 def test_plan_leg_takes_any_checker(arm2):

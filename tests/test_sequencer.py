@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from armseq import (Decomposition, DecompositionParams, HOME, build_map,
+from armseq import (Checker, Decomposition, DecompositionParams, HOME, build_map,
                     DisconnectedError, NoIkSolutionsError, SequencingParams,
                     TaskPoint, config_distance, home_config, ik_solutions,
                     intra_subspace_trajectory, match_task, sequence,
@@ -39,14 +39,14 @@ def test_match_exact_node(tabletop_scenario, tabletop_decomposition):
     m0 = dec.maps[0]
     node = m0.assigned_nodes()[len(m0.assignment) // 2]
     task = TaskPoint(dec.graphs[0].nodes[node].position)
-    mt = match_task(task, dec, k=10, threshold=0.7, arm=sc.arm, scene=sc.scene)
+    mt = match_task(task, dec, 10, 0.7, Checker(sc.arm, sc.scene))
     assert mt.map_index == 0
     assert mt.matched_node == node
     assert mt.similarity <= 1e-9
     assert np.allclose(mt.task_config, m0.assignment[node], atol=1e-9)
 
 
-def test_match_earlier_map_bias(arm2, empty_scene):
+def test_match_earlier_map_bias(check2):
     # task (1,1) has Q = {(0, pi/2), (pi/2, -pi/2)}; craft assignments at known
     # L2 offsets so per-map best similarities are (0.9, 0.4)
     q = np.array([0.0, math.pi / 2])
@@ -54,44 +54,39 @@ def test_match_earlier_map_bias(arm2, empty_scene):
         {0: q + np.array([0.0, 0.9])},
         {0: q + np.array([0.0, 0.4])},
     ])
-    mt = match_task(TaskPoint((1.0, 1.0)), dec, k=10, threshold=0.7,
-                    arm=arm2, scene=empty_scene)
+    mt = match_task(TaskPoint((1.0, 1.0)), dec, 10, 0.7, check2)
     assert mt.map_index == 1
     assert mt.similarity == pytest.approx(0.4)
     # a permissive threshold stops at the first map instead
-    mt = match_task(TaskPoint((1.0, 1.0)), dec, k=10, threshold=1.0,
-                    arm=arm2, scene=empty_scene)
+    mt = match_task(TaskPoint((1.0, 1.0)), dec, 10, 1.0, check2)
     assert mt.map_index == 0
 
 
-def test_match_global_fallback_above_threshold(arm2, empty_scene):
+def test_match_global_fallback_above_threshold(check2):
     q = np.array([0.0, math.pi / 2])
     dec = _single_node_decomposition([
         {0: q + np.array([0.0, 1.3])},
         {0: q + np.array([0.0, 1.5])},
     ])
-    mt = match_task(TaskPoint((1.0, 1.0)), dec, k=10, threshold=0.7,
-                    arm=arm2, scene=empty_scene)
+    mt = match_task(TaskPoint((1.0, 1.0)), dec, 10, 0.7, check2)
     assert mt.map_index == 0
     assert mt.similarity == pytest.approx(1.3)
 
 
-def test_match_tie_keeps_first_ranked_node(arm2, empty_scene):
+def test_match_tie_keeps_first_ranked_node(check2):
     # node 1 is nearer the task, so it ranks first; each node is assigned one
     # of the task's two IK solutions, so both nodes reach similarity 0
-    c0, c1 = ik_solutions(arm2, TaskPoint((1.0, 1.0)), empty_scene)
+    c0, c1 = ik_solutions(check2, TaskPoint((1.0, 1.0)))
     dec = _single_node_decomposition([{0: c0, 1: c1}], positions=[(1.1, 1.0), (1.0, 1.0)])
-    mt = match_task(TaskPoint((1.0, 1.0)), dec, k=10, threshold=0.7,
-                    arm=arm2, scene=empty_scene)
+    mt = match_task(TaskPoint((1.0, 1.0)), dec, 10, 0.7, check2)
     assert mt.matched_node == 1
     assert np.array_equal(mt.task_config, c1)
     assert mt.similarity == 0.0
 
 
-def test_match_no_ik(arm2, empty_scene, tabletop_decomposition):
+def test_match_no_ik(tabletop_decomposition, check2):
     with pytest.raises(NoIkSolutionsError):
-        match_task(TaskPoint((3.0, 0.0)), tabletop_decomposition, 10, 0.7,
-                   arm2, empty_scene)
+        match_task(TaskPoint((3.0, 0.0)), tabletop_decomposition, 10, 0.7, check2)
 
 
 def _dijkstra_oracle(graph, assignment, start, goal):
@@ -162,29 +157,29 @@ def test_intra_trajectory_disconnected():
         intra_subspace_trajectory(m, g, ma, mb)
 
 
-def test_home_config_argmin(arm2, empty_scene):
+def test_home_config_argmin(check2):
     # task (1,1) has two IK branches; choose means near each in turn
     q0 = np.array([0.0, math.pi / 2])
     q1 = np.array([math.pi / 2, -math.pi / 2])
     for target in (q0, q1):
         dec = _single_node_decomposition([{0: target}])
-        got = home_config(dec, TaskPoint((1.0, 1.0)), arm2, empty_scene)
+        got = home_config(dec, TaskPoint((1.0, 1.0)), check2)
         assert np.allclose(got, target, atol=1e-9)
 
 
-def test_home_config_tie_keeps_first_candidate(monkeypatch, arm2, empty_scene):
+def test_home_config_tie_keeps_first_candidate(monkeypatch, check2):
     import armseq.sequencer as sequencer_mod
 
     candidates = [np.array([-0.2, 0.0]), np.array([0.2, 0.0])]
-    monkeypatch.setattr(sequencer_mod, "ik_solutions", lambda arm, task, scene: candidates)
+    monkeypatch.setattr(sequencer_mod, "ik_solutions", lambda check, task: candidates)
     dec = _single_node_decomposition([{0: np.zeros(2)}])
-    got = home_config(dec, TaskPoint((1.0, 1.0)), arm2, empty_scene)
+    got = home_config(dec, TaskPoint((1.0, 1.0)), check2)
     assert np.array_equal(got, candidates[0])
 
 
-def test_home_config_no_ik(arm2, empty_scene, tabletop_decomposition):
+def test_home_config_no_ik(tabletop_decomposition, check2):
     with pytest.raises(NoIkSolutionsError):
-        home_config(tabletop_decomposition, TaskPoint((5.0, 0.0)), arm2, empty_scene)
+        home_config(tabletop_decomposition, TaskPoint((5.0, 0.0)), check2)
 
 
 def test_home_config_near_first_map(tabletop_scenario, tabletop_decomposition):
@@ -193,7 +188,7 @@ def test_home_config_near_first_map(tabletop_scenario, tabletop_decomposition):
     m0 = dec.maps[0]
     node = m0.assigned_nodes()[len(m0.assignment) // 3]
     home = TaskPoint(dec.graphs[0].nodes[node].position)
-    got = home_config(dec, home, sc.arm, sc.scene)
+    got = home_config(dec, home, Checker(sc.arm, sc.scene))
     eps = sc.decomposition.epsilon
     assert config_distance(got, m0.assignment[node]) <= eps + 0.25
 

@@ -355,7 +355,23 @@ def test_cli_input_errors(scenario_json, workdir, artifact_path, capsys):
     listed = workdir / "list.json"
     listed.write_text("[]")
     out = str(workdir / "x.json")
+    # a grid region that no grid point of the arm reaches
+    scenario = scenario_json("tabletop")
+    scenario["task_grid"]["region"] = [3.0, 3.0, 3.5, 3.5]
+    unreachable = workdir / "unreachable.json"
+    unreachable.write_text(dumps(scenario))
+    tasks = workdir / "tasks_seed.json"
+    tasks.write_text(dumps({"tasks": [[-0.55, 0.85]]}))
+    tabletop = str(workdir / "tabletop.json")
     for argv, message in [
+        (["decompose", "--scenario", tabletop, "--out", out, "--seed", "-1"],
+         "--seed: must be non-negative"),
+        (["bench", "--scenario", tabletop, "--out", out, "--seed", "-1"],
+         "--seed: must be non-negative"),
+        (["sequence", "--artifact", str(artifact_path), "--tasks", str(tasks), "--out", out,
+          "--seed", "-1"], "--seed: must be non-negative"),
+        (["decompose", "--scenario", str(unreachable), "--out", out],
+         "scenario.task_grid: cannot decompose an empty task graph"),
         (["decompose", "--scenario", str(listed), "--out", out], "scenario: expected an object"),
         (["bench", "--scenario", str(listed), "--out", out], "scenario: expected an object"),
         (["verify", "--artifact", str(listed)], "artifact: expected an object"),
@@ -432,6 +448,11 @@ def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, tas
                  id="arm.joint_limits-single"),
     pytest.param(("arm", "link_thickness"), [0.04, -math.inf], id="arm.link_thickness-inf"),
     pytest.param(("arm", "max_joint_velocity"), [1.0, True], id="arm.max_joint_velocity-bool"),
+    pytest.param(("seed",), -1, id="seed-negative"),
+    pytest.param(("bench", "task_counts"), [-2], id="bench.task_counts-negative"),
+    pytest.param(("bench", "trials"), -1, id="bench.trials-negative"),
+    pytest.param(("task_grid", "region"), [1.2, 0.4, -1.2, 1.2], id="task_grid.region-reversed"),
+    pytest.param(("connection_radius",), 0.9, id="connection_radius-above-epsilon"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_cli_rejects_malformed_scenario_scalar(scenario_json, tmp_path, capsys, field, value):
     scenario = scenario_json("tabletop")

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from armseq import (Box, IslandWarning, Scene, TaskPoint, build_graph,
+from armseq import (Box, Checker, IslandWarning, Scene, TaskPoint, build_graph,
                     build_task_grid, ik_solutions, task_distance)
 
 
@@ -112,4 +112,4 @@ def test_mid_edge_ik_checked(empty_scene):
     g = build_graph(pts, 3.1, arm, empty_scene, edge_check_count=5)
     assert len(g.nodes) == 2
     assert len(g.edges) == 0
-    assert ik_solutions(arm, TaskPoint((0.75, 0.0)), empty_scene)  # quarter point is fine
+    assert ik_solutions(Checker(arm, empty_scene), TaskPoint((0.75, 0.0)))  # quarter point is fine
