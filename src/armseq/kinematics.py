@@ -172,7 +172,8 @@ def _ik_candidates(arm: ArmModel, target) -> list[np.ndarray]:
 
 def ik_solutions(check, task: TaskPoint) -> list[np.ndarray]:
     """Valid IK set Q(t): configurations of ``check.arm`` reaching ``task`` that
-    ``check.valid`` accepts (``check`` is a :class:`armseq.world.Checker`).
+    ``check.valid_many`` accepts (``check`` is a :class:`armseq.world.Checker`),
+    asked once for all candidates that reach the target.
 
     For 2 DOF this is the analytic elbow branch set; for 3 DOF the first joint
     is swept at ``free_joint_resolution`` and the remaining 2-link subproblem is
@@ -182,13 +183,9 @@ def ik_solutions(check, task: TaskPoint) -> list[np.ndarray]:
     """
     arm = check.arm
     target = np.asarray(task.position, dtype=float)
-    kept = []
-    for q in _ik_candidates(arm, target):
-        tip, _ = forward_kinematics(arm, q)
-        if math.hypot(tip[0] - target[0], tip[1] - target[1]) > TIP_TOLERANCE:
-            continue
-        if check.valid(q):
-            kept.append(q)
+    reach = [q for q in _ik_candidates(arm, target)
+             if math.hypot(*(forward_kinematics(arm, q)[0] - target)) <= TIP_TOLERANCE]
+    kept = [q for q, ok in zip(reach, check.valid_many(reach)) if ok]
     kept.sort(key=tuple)
     out: list[np.ndarray] = []
     for q in kept:

@@ -38,7 +38,7 @@ class PlanningTimeoutError(RuntimeError):
     """The fallback planner exhausted its time budget."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Trajectory:
     """A discrete sequence of configurations with a provenance tag."""
 
@@ -54,7 +54,7 @@ class Trajectory:
         return sum(config_distance(a, b) for a, b in zip(self.waypoints, self.waypoints[1:]))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TrajectoryMetrics:
     config_length: float
     exec_time: float

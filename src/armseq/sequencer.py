@@ -42,7 +42,7 @@ class SequencingParams:
             raise ValueError("threshold must be positive")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TaskMatch:
     """A task bound to a map: matched node, chosen IK solution and L2 similarity."""
 
@@ -53,7 +53,7 @@ class TaskMatch:
     similarity: float
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Leg:
     from_label: int  # task index or HOME
     to_label: int
@@ -63,7 +63,7 @@ class Leg:
     metrics: object | None = None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SequencePlan:
     """Ordered legs anchored at home, with the visit order and bookkeeping."""
 

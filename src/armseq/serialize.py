@@ -234,7 +234,7 @@ class Scenario:
         self.step = _opt(motion, "step", float, 0.05, path + ".motion")
         self.timeout = _opt(motion, "timeout", float, 2.0, path + ".motion")
         self.dt = _opt(motion, "dt", float, 0.01, path + ".motion")
-        for key in ("step", "dt"):
+        for key in ("step", "timeout", "dt"):
             _ensure(getattr(self, key) > 0, "%s.motion.%s" % (path, key), "must be positive")
         self.base_poses = None
         if data.get("base_poses"):

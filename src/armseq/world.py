@@ -1,18 +1,19 @@
 """2-D collision world: box/disc obstacles and capsule-link validity checks.
 
 Links are capsules (segment plus radius), so all checks reduce to exact
-segment/segment and segment/shape distance tests. Obstacles carry a tag
-separating the static offline model from obstacles discovered online.
+segment/segment and segment/shape distance tests, which :func:`configs_valid`
+runs for many configurations at once. Obstacles carry a tag separating the
+static offline model from obstacles discovered online.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .kinematics import ArmModel, config_distance, forward_kinematics
+from .kinematics import ArmModel, config_distance
 
 OFFLINE = "offline"
 ONLINE = "online"
@@ -49,84 +50,104 @@ class Disc:
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable obstacle collection."""
+    """Immutable obstacle collection, with the kernel's arrays built once: rows
+    (xmin, ymin, xmax, ymax) of ``boxes``, (x0, y0, x1, y1) of ``box_edges``
+    (four per box, each ending where the next starts) and (x, y, r) of ``discs``."""
 
     obstacles: tuple = ()
+    boxes: np.ndarray = field(init=False, repr=False, compare=False)
+    box_edges: np.ndarray = field(init=False, repr=False, compare=False)
+    discs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        obstacles = tuple(self.obstacles)
+        boxes = [(o.xmin, o.ymin, o.xmax, o.ymax) for o in obstacles if isinstance(o, Box)]
+        boxes = np.array(boxes, dtype=float).reshape(-1, 4)
+        x0, y0, x1, y1 = boxes.T
+        edges = np.stack((x0, y0, x1, y0, x1, y0, x1, y1, x1, y1, x0, y1, x0, y1, x0, y0), axis=1)
+        discs = [(*o.center, o.radius) for o in obstacles if not isinstance(o, Box)]
+        object.__setattr__(self, "obstacles", obstacles)
+        object.__setattr__(self, "boxes", boxes)
+        object.__setattr__(self, "box_edges", edges.reshape(-1, 4))
+        object.__setattr__(self, "discs", np.array(discs, dtype=float).reshape(-1, 3))
 
     def with_obstacles(self, extra) -> "Scene":
         return Scene(self.obstacles + tuple(extra))
 
 
-def _seg_point_dist(px, py, ax, ay, bx, by) -> float:
-    vx, vy = bx - ax, by - ay
-    wx, wy = px - ax, py - ay
-    vv = vx * vx + vy * vy
-    if vv == 0.0:
-        return math.hypot(wx, wy)
-    t = min(1.0, max(0.0, (wx * vx + wy * vy) / vv))
-    return math.hypot(wx - t * vx, wy - t * vy)
+# The kernel broadcasts the scalar capsule tests with their float formulas in the same
+# order. It divides only by squared lengths of links and box edges, which are positive.
+
+def _offset(wx, wy, vx, vy, vv):
+    """Offset of the point start + (wx, wy) from its nearest point on the
+    segment start + [0, 1] (vx, vy)."""
+    t = np.minimum(np.maximum((wx * vx + wy * vy) / vv, 0.0), 1.0)
+    return wx - t * vx, wy - t * vy
 
 
-def _cross(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+def _near(offsets, r, radius=0.0):
+    """The scalar test ``max(0, min(hypot(x, y) for x, y in offsets) - radius) <= r``.
+    The scalar code used ``math.hypot``, which is correctly rounded; ``np.hypot``
+    can miss it by an ulp and flip an exact contact, so distances within 1e-15
+    (a few ulps) of ``r + radius`` are measured again with ``math.hypot``."""
+    d = np.minimum.reduce([np.hypot(x, y) for x, y in offsets])
+    bound = r + radius
+    redo = np.abs(d - bound) <= 1e-15 * bound
+    if redo.any():
+        d = np.array(np.broadcast_to(d, redo.shape))
+        xy = [np.broadcast_to(a, redo.shape)[redo] for pair in offsets for a in pair]
+        d[redo] = [min(map(math.hypot, row[::2], row[1::2])) for row in zip(*xy)]
+    return np.maximum(0.0, d - radius) <= r
 
 
-def _seg_seg_dist(ax, ay, bx, by, cx, cy, dx, dy) -> float:
-    d1 = _cross(ax, ay, bx, by, cx, cy)
-    d2 = _cross(ax, ay, bx, by, dx, dy)
-    d3 = _cross(cx, cy, dx, dy, ax, ay)
-    d4 = _cross(cx, cy, dx, dy, bx, by)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return 0.0
-    return min(
-        _seg_point_dist(cx, cy, ax, ay, bx, by),
-        _seg_point_dist(dx, dy, ax, ay, bx, by),
-        _seg_point_dist(ax, ay, cx, cy, dx, dy),
-        _seg_point_dist(bx, by, cx, cy, dx, dy),
-    )
+def _segs_hit(ax, ay, bx, by, cx, cy, dx, dy, r):
+    """Segments AB and CD cross or come within ``r`` of each other."""
+    vx, vy, ex, ey = bx - ax, by - ay, dx - cx, dy - cy
+    vv, ee = vx * vx + vy * vy, ex * ex + ey * ey
+    crossing = (((vx * (cy - ay) - vy * (cx - ax)) * (vx * (dy - ay) - vy * (dx - ax)) < 0)
+                & ((ex * (ay - cy) - ey * (ax - cx)) * (ex * (by - cy) - ey * (bx - cx)) < 0))
+    near = [_offset(cx - ax, cy - ay, vx, vy, vv), _offset(dx - ax, dy - ay, vx, vy, vv),
+            _offset(ax - cx, ay - cy, ex, ey, ee), _offset(bx - cx, by - cy, ex, ey, ee)]
+    return crossing | _near(near, r)
 
 
-def _point_in_box(px, py, box: Box) -> bool:
-    return box.xmin <= px <= box.xmax and box.ymin <= py <= box.ymax
-
-
-def _seg_box_dist(ax, ay, bx, by, box: Box) -> float:
-    if _point_in_box(ax, ay, box) or _point_in_box(bx, by, box):
-        return 0.0
-    edges = (
-        (box.xmin, box.ymin, box.xmax, box.ymin),
-        (box.xmax, box.ymin, box.xmax, box.ymax),
-        (box.xmax, box.ymax, box.xmin, box.ymax),
-        (box.xmin, box.ymax, box.xmin, box.ymin),
-    )
-    return min(_seg_seg_dist(ax, ay, bx, by, *e) for e in edges)
-
-
-def _seg_obstacle_dist(ax, ay, bx, by, obstacle) -> float:
-    if isinstance(obstacle, Box):
-        return _seg_box_dist(ax, ay, bx, by, obstacle)
-    cx, cy = obstacle.center
-    return max(0.0, _seg_point_dist(cx, cy, ax, ay, bx, by) - obstacle.radius)
-
-
-def config_valid(arm: ArmModel, q, scene: Scene) -> bool:
-    """True iff no link capsule hits an obstacle and no non-adjacent links collide."""
-    _, pts = forward_kinematics(arm, q)
-    segs = [(pts[i][0], pts[i][1], pts[i + 1][0], pts[i + 1][1]) for i in range(arm.dof)]
-    for i, seg in enumerate(segs):
-        r = arm.link_thickness[i]
-        for obstacle in scene.obstacles:
-            if _seg_obstacle_dist(*seg, obstacle) <= r:
-                return False
+def configs_valid(arm: ArmModel, Q, scene: Scene) -> np.ndarray:
+    """Row i is True iff configuration ``Q[i]`` is valid: no link capsule
+    touches an obstacle and no two non-adjacent links collide."""
+    Q = np.asarray(Q, dtype=float).reshape(len(Q), arm.dof)
+    m = len(Q)
+    if arm.dof == 2 and not scene.obstacles:
+        return np.ones(m, dtype=bool)
+    ang, lengths, base = np.cumsum(Q, axis=1), np.array(arm.link_lengths), arm.base_position
+    # joint points (rows, links + 1): the base, then the far end of each link
+    x = np.cumsum(np.column_stack((np.full(m, base[0]), lengths * np.cos(ang))), axis=1)
+    y = np.cumsum(np.column_stack((np.full(m, base[1]), lengths * np.sin(ang))), axis=1)
+    # (rows, links, 1): link i runs from A = joint point i along (vx, vy); radii r
+    ax, ay = x[:, :-1, None], y[:, :-1, None]
+    vx, vy = x[:, 1:, None] - ax, y[:, 1:, None] - ay
+    vv, r = vx * vx + vy * vy, np.array(arm.link_thickness)[:, None]
+    hit = np.zeros(m, dtype=bool)
+    if len(scene.boxes):
+        # (rows, joint points or links, boxes or edges): a link touches a box
+        # with an end point inside it, or one of its edges
+        px, py, (x0, y0, x1, y1) = x[:, :, None], y[:, :, None], scene.boxes.T
+        hit |= ((x0 <= px) & (px <= x1) & (y0 <= py) & (py <= y1)).any(axis=(1, 2))
+        hit |= _segs_hit(ax, ay, px[:, 1:], py[:, 1:], *scene.box_edges.T, r).any(axis=(1, 2))
+    if len(scene.discs):
+        cx, cy, radius = scene.discs.T
+        hit |= _near([_offset(cx - ax, cy - ay, vx, vy, vv)], r, radius).any(axis=(1, 2))
     # self-collision: adjacent links share a joint and are exempt
     for i in range(arm.dof):
         for j in range(i + 2, arm.dof):
-            if _seg_seg_dist(*segs[i], *segs[j]) <= arm.link_thickness[i] + arm.link_thickness[j]:
-                return False
-    return True
+            r_ij = arm.link_thickness[i] + arm.link_thickness[j]
+            hit |= _segs_hit(x[:, i], y[:, i], x[:, i + 1], y[:, i + 1],
+                             x[:, j], y[:, j], x[:, j + 1], y[:, j + 1], r_ij)
+    return ~hit
+
+
+def config_valid(arm: ArmModel, q, scene: Scene) -> bool:
+    """True iff the one configuration ``q`` is valid (see :func:`configs_valid`)."""
+    return bool(configs_valid(arm, np.asarray(q, dtype=float)[None], scene)[0])
 
 
 def motion_valid(arm: ArmModel, a, b, scene: Scene, step: float = 0.05) -> bool:
@@ -135,32 +156,26 @@ def motion_valid(arm: ArmModel, a, b, scene: Scene, step: float = 0.05) -> bool:
     The segment is sampled so consecutive samples differ by at most ``step``
     in L-infinity, endpoints included. The sample count is a power of two,
     so halving ``step`` refines to a superset of the coarse samples and can
-    never flip an invalid motion back to valid.
+    never flip an invalid motion back to valid. One kernel call checks them all.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     d = config_distance(a, b)
-    if d == 0.0:
-        return config_valid(arm, a, scene)
     n = 1
     while d / n > step:
         n *= 2
-    diff = b - a
-    for k in range(n + 1):
-        if not config_valid(arm, a + diff * (k / n), scene):
-            return False
-    return True
+    samples = a + (b - a) * (np.arange(n + 1) / n)[:, None]
+    return bool(configs_valid(arm, samples, scene).all())
 
 
 @dataclass(frozen=True)
 class Checker:
     """Validity of configurations and straight motions for one arm in one scene.
 
-    ``step`` is the resolution of :meth:`motion`. Both methods look up
-    :func:`config_valid` and :func:`motion_valid` in this module on every
-    call, so a rebinding of those names sees every check.
+    ``step`` is the resolution of :meth:`motion`. The methods look up
+    :func:`config_valid`, :func:`motion_valid` and :func:`configs_valid` in
+    this module on every call, so a rebinding of those names sees every check.
     """
 
     arm: ArmModel
@@ -169,6 +184,10 @@ class Checker:
 
     def valid(self, q) -> bool:
         return config_valid(self.arm, q, self.scene)
+
+    def valid_many(self, Q) -> np.ndarray:
+        """One bool per row of ``Q``, as :meth:`valid` would give it."""
+        return configs_valid(self.arm, Q, self.scene)
 
     def motion(self, a, b) -> bool:
         return motion_valid(self.arm, a, b, self.scene, self.step)

@@ -453,6 +453,8 @@ def test_cli_sequence_rejects_malformed_task(workdir, artifact_path, capsys, tas
     pytest.param(("bench", "trials"), -1, id="bench.trials-negative"),
     pytest.param(("task_grid", "region"), [1.2, 0.4, -1.2, 1.2], id="task_grid.region-reversed"),
     pytest.param(("connection_radius",), 0.9, id="connection_radius-above-epsilon"),
+    pytest.param(("motion", "timeout"), -1.0, id="motion.timeout-negative"),
+    pytest.param(("motion", "timeout"), 0.0, id="motion.timeout-zero"),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else None)
 def test_cli_rejects_malformed_scenario_scalar(scenario_json, tmp_path, capsys, field, value):
     scenario = scenario_json("tabletop")

@@ -27,6 +27,9 @@ class _ElbowUp(Checker):
     def valid(self, q):
         return bool(q[1] >= 0.0)
 
+    def valid_many(self, Q):
+        return np.array([self.valid(q) for q in Q], dtype=bool)
+
     def motion(self, a, b):
         return self.valid(a) and self.valid(b)
 
@@ -34,6 +37,9 @@ class _ElbowUp(Checker):
 class _RejectAll(Checker):
     def valid(self, q):
         return False
+
+    def valid_many(self, Q):
+        return np.zeros(len(Q), dtype=bool)
 
     def motion(self, a, b):
         return False
@@ -99,7 +105,7 @@ def _imported(node) -> list[str]:
 
 
 def test_only_world_calls_the_collision_kernels():
-    kernels = {"config_valid", "motion_valid"}
+    kernels = {"config_valid", "motion_valid", "configs_valid"}
     for path in sorted(SRC.glob("*.py")):
         if path.name == "world.py":
             continue

@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from armseq import (ArmModel, Box, Checker, Disc, Scene, config_valid, forward_kinematics,
-                    motion_valid, world)
+import _scalar_world
+from armseq import (ArmModel, Box, Checker, Disc, Scene, TaskPoint, config_valid,
+                    forward_kinematics, ik_solutions, motion_valid, world)
+from armseq.kinematics import _two_link_branches
 
 
 def _segments_intersect(p1, p2, p3, p4):
@@ -100,8 +105,6 @@ def test_refining_step_never_flips_false_to_true(arm2):
 
 def test_config_valid_against_dense_point_oracle(arm2):
     """Capsule test versus dense point sampling of the link centrelines."""
-    from armseq.world import _seg_obstacle_dist
-
     rng = np.random.default_rng(23)
     agree = 0
     total = 0
@@ -145,8 +148,8 @@ def test_config_valid_against_dense_point_oracle(arm2):
             else:
                 # disagreement allowed only in the near-tangency band
                 clearance = min(
-                    _seg_obstacle_dist(joints[i][0], joints[i][1],
-                                       joints[i + 1][0], joints[i + 1][1], o)
+                    _scalar_world._seg_obstacle_dist(joints[i][0], joints[i][1],
+                                                     joints[i + 1][0], joints[i + 1][1], o)
                     for i in range(2) for o in obstacles
                 )
                 r = max(arm2.link_thickness)
@@ -174,4 +177,140 @@ def test_checker_calls_through_module_names(arm2, empty_scene, monkeypatch):
     check = Checker(arm2, empty_scene)
     q = np.array([0.1, 0.2])
     assert check.valid(q) and check.motion(q, q + 0.01)
-    assert calls == ["config_valid", "motion_valid", "config_valid", "config_valid"]
+    assert calls == ["config_valid", "motion_valid"]
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _lattice(lo, hi):
+    return st.integers(int(lo * 16), int(hi * 16)).map(lambda k: k / 16)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """An arm, a box/disc scene and configuration rows. The scene's last
+    obstacle is placed beside one link of the first row, ``gap`` beyond the
+    link's capsule surface, so that row is within 1e-9 of contact, or the
+    link's radius is set to its distance, so that row touches it; a 3-link
+    arm also gets rows as near to touching itself, and the last row may have
+    a link deep inside a box. In lattice cases every
+    length lies on a 1/16 grid, the first row is all zeros and the gap is
+    zero, so that row touches the obstacle exactly."""
+    lattice = draw(st.booleans())
+    num = _lattice if lattice else _floats
+    dof = draw(st.sampled_from((2, 3)))
+    arm = ArmModel(link_lengths=[draw(num(0.125, 1.2)) for _ in range(dof)],
+                   joint_limits=((-math.pi, math.pi),) * dof,
+                   link_thickness=[draw(num(0.0625, 0.1)) for _ in range(dof)],
+                   base_position=(draw(num(-0.5, 0.5)), draw(num(-0.5, 0.5))))
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(num(-2.0, 2.0)), draw(num(-2.0, 2.0))
+        if draw(st.booleans()):
+            obstacles.append(Box(x, y, x + draw(num(0.0625, 0.8)), y + draw(num(0.0625, 0.8))))
+        else:
+            obstacles.append(Disc((x, y), draw(num(0.0625, 0.5))))
+    rows = draw(st.lists(st.tuples(*[_floats(-4.0, 4.0)] * dof), min_size=1, max_size=12))
+    q = np.zeros(dof) if lattice else np.array(rows[0])
+    link = draw(st.integers(0, dof - 1))
+    gap = 0.0 if lattice else draw(st.sampled_from((0.0, 1e-12, -1e-12, 1e-9, -1e-9)))
+    _, joints = forward_kinematics(arm, q)
+    a, b = joints[link], joints[link + 1]
+    r = arm.link_thickness[link]
+    size = draw(num(0.0625, 0.5))
+    normal = np.array([a[1] - b[1], b[0] - a[0]]) / math.hypot(*(b - a))
+    kind = draw(st.sampled_from(("disc", "box side", "box corner")))
+    if kind == "disc":
+        # disc beside the link's middle, along its normal
+        centre = (a + b) / 2 + normal * (r + size + gap)
+        near = Disc((centre[0], centre[1]), size)
+    elif kind == "box side":
+        # box to the right of the link's rightmost end, centred on its height
+        p = a if a[0] > b[0] else b
+        near = Box(p[0] + r + gap, p[1] - size, p[0] + r + gap + size, p[1] + size)
+    else:
+        # box with one corner beside the link's middle, extending away from it
+        c = (a + b) / 2 + normal * (r + gap)
+        x0 = c[0] if normal[0] >= 0 else c[0] - size
+        y0 = c[1] if normal[1] >= 0 else c[1] - size
+        near = Box(x0, y0, x0 + size, y0 + size)
+    dist = _scalar_world._seg_obstacle_dist(a[0], a[1], b[0], b[1], near)
+    assert abs(dist - r) <= 1e-9 + 1e-12
+    if not lattice and draw(st.booleans()):
+        # the link's radius becomes that distance: an exact tie in the reference's floats
+        arm = replace(arm, link_thickness=[dist if i == link else t
+                                           for i, t in enumerate(arm.link_thickness)])
+    if len(rows) > 1 and draw(st.booleans()):
+        # a box holding one link of the last row with room to spare: only the
+        # end-point-in-box test sees it, no edge comes near the capsule
+        _, joints = forward_kinematics(arm, np.array(rows[-1]))
+        i = draw(st.integers(0, dof - 1))
+        (xa, ya), (xb, yb) = joints[i], joints[i + 1]
+        m = arm.link_thickness[i] + size
+        obstacles.append(Box(min(xa, xb) - m, min(ya, yb) - m, max(xa, xb) + m, max(ya, yb) + m))
+    rows = [q, q + 1e-12, q - 1e-12] + [np.array(row) for row in rows[1:]]
+    if dof == 3:
+        # folded rows whose tip lies beside link 0, ``gap`` beyond the contact
+        # of the capsules of links 0 and 2
+        l0, l1, l2 = arm.link_lengths
+        h = arm.link_thickness[0] + arm.link_thickness[2] + gap
+        along = draw(_floats(0.0, 1.0))
+        for t1, t2 in _two_link_branches(l1, l2, -(1.0 - along) * l0, h):
+            rows.append(np.array([0.0, t1, t2]))
+    return arm, Scene(tuple(obstacles) + (near,)), np.array(rows)
+
+
+@settings(max_examples=300)
+@given(_kernel_cases())
+def test_configs_valid_matches_scalar_reference(case):
+    arm, scene, rows = case
+    got = world.configs_valid(arm, rows, scene)
+    assert got.dtype == bool and got.shape == (len(rows),)
+    assert got.tolist() == [_scalar_world.config_valid(arm, q, scene) for q in rows]
+    assert type(config_valid(arm, rows[0], scene)) is bool
+
+
+def test_configs_valid_breaks_exact_ties_as_math_hypot():
+    # a disc and a box corner beyond the tip of a 2-link arm at q = 0, and the
+    # tip link's radius set to the reference's distance: every case is an exact
+    # tie, and np.hypot rounds some of these distances an ulp off math.hypot
+    rng = np.random.default_rng(3)
+    rounded_apart = 0
+    for cx, cy in rng.uniform(0.1, 0.3, (500, 2)) + (1.0, 0.0):
+        for near in (Disc((cx, cy), 0.0625), Box(cx, cy, cx + 0.5, cy + 0.5)):
+            d = _scalar_world._seg_obstacle_dist(0.5, 0.0, 1.0, 0.0, near)
+            arm = ArmModel(link_lengths=[0.5, 0.5], joint_limits=((-math.pi, math.pi),) * 2,
+                           link_thickness=[0.01, d])
+            scene = Scene((near,))
+            assert not _scalar_world.config_valid(arm, np.zeros(2), scene)
+            assert not world.configs_valid(arm, np.zeros((1, 2)), scene)[0]
+        rounded_apart += np.hypot(cx - 1.0, cy) != math.hypot(cx - 1.0, cy)
+    assert rounded_apart > 0
+
+
+def test_kernel_calls_per_motion_and_ik_set(arm3, monkeypatch):
+    # a motion is one kernel call over all its samples, an IK set one over its
+    # candidates that reach the target (none for an unreachable one)
+    calls = []
+    kernel = world.configs_valid
+    monkeypatch.setattr(world, "configs_valid", lambda *a: calls.append(len(a[1])) or kernel(*a))
+    check = Checker(arm3, Scene((Box(0.8, -0.5, 1.15, 0.1), Disc((-0.6, 0.7), 0.15))))
+    rng = np.random.default_rng(5)
+    motions = [tuple(rng.uniform(-math.pi, math.pi, size=(2, 3))) for _ in range(20)]
+    motions.append((np.zeros(3), np.zeros(3)))
+    results = set()
+    for a, b in motions:
+        calls.clear()
+        results.add(check.motion(a, b))
+        assert len(calls) == 1
+    assert results == {True, False}
+    sizes = []
+    for target in ((1.0, 0.6), (-0.9, 0.4), (0.2, 1.3), (3.0, 3.0)):
+        calls.clear()
+        kept = ik_solutions(check, TaskPoint(target))
+        assert len(calls) == 1
+        sizes.append((calls[0], len(kept)))
+    assert sizes[-1] == (0, 0)
+    assert all(c >= n > 0 for c, n in sizes[:-1])
