@@ -22,7 +22,7 @@ from .decomposition import Decomposition, decompose, decompose_mobile, verify_gh
 from .kinematics import TaskPoint, ik_solutions
 from .sequencer import SequencingParams, adapt_plan, home_config, sequence
 from .serialize import SCHEMA_VERSION, Scenario, jsonable
-from .taskgraph import build_graph, build_task_grid
+from .taskgraph import task_graphs
 from .world import Checker
 
 METHODS = ("subspace", "subspace_noseed", "naive", "robotsp")
@@ -38,9 +38,9 @@ def build_decomposition(scenario: Scenario) -> Decomposition:
                                     scenario.connection_radius, scenario.base_poses,
                                     scenario.arm, scenario.scene, scenario.decomposition,
                                     scenario.edge_check_count)
-        points = build_task_grid(scenario.grid_region, scenario.grid_spacing)
-        graph = build_graph(points, scenario.connection_radius, scenario.arm,
-                            scenario.scene, scenario.edge_check_count)
+        graph, = task_graphs(scenario.grid_region, scenario.grid_spacing,
+                             scenario.connection_radius, scenario.arm, scenario.scene,
+                             scenario.edge_check_count)
         return decompose(graph, scenario.decomposition)
 
 

@@ -13,11 +13,12 @@ import time
 
 from .bench import build_decomposition, run_bench, summary_table, verify_decomposition
 from .decomposition import EmptyGraphError
+from .kinematics import TaskPoint
 from .render import render_decomposition_svg, render_plan_svg
 from .sequencer import NoIkSolutionsError, SequencingParams, adapt_plan, sequence
 from .serialize import (SchemaError, _object, _pair, artifact_from_dict, artifact_to_dict,
                         dump_json, load_json, load_scenario, plan_from_dict,
-                        plan_to_dict)
+                        plan_to_dict, scene_from_list)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -49,15 +50,11 @@ def cmd_sequence(args) -> int:
     tasks_data = load_json(args.tasks)
     if not isinstance(tasks_data, dict) or not isinstance(tasks_data.get("tasks"), list):
         raise SchemaError("tasks.tasks: expected a list of [x, y] targets")
-    from .kinematics import TaskPoint
-
     tasks = [TaskPoint(_pair(t, "tasks.tasks[%d]" % i))
              for i, t in enumerate(tasks_data["tasks"])]
     extra = tasks_data.get("online_obstacles")
     scene = scenario.full_scene()
     if extra:
-        from .serialize import scene_from_list
-
         scene = scene.with_obstacles(scene_from_list(extra, "tasks.online_obstacles").obstacles)
     seed = args.seed if args.seed is not None else scenario.seed
     params = SequencingParams(scenario.k, scenario.threshold)

@@ -20,7 +20,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .kinematics import config_distance, task_distance
-from .taskgraph import TaskGraph
+from .taskgraph import TaskGraph, task_graphs
 
 
 class EmptyGraphError(ValueError):
@@ -302,21 +302,14 @@ def decompose_mobile(grid_region, spacing: float, connection_radius: float,
     iteration samples roots on every base pose that has no map yet, and the
     globally best map claims its base pose.
     """
-    from .kinematics import TaskPoint
-    from .taskgraph import build_graph, build_task_grid
-
     base_poses = [(float(b[0]), float(b[1])) for b in base_poses]
     if not base_poses:
         raise ValueError("base_poses must be nonempty")
     if connection_radius > params.epsilon:
         raise ValueError("connection radius %.6g exceeds epsilon %.6g"
                          % (connection_radius, params.epsilon))
-    points = build_task_grid(grid_region, spacing)
-    graphs: list[TaskGraph] = []
-    for bi, bp in enumerate(base_poses):
-        pts = [TaskPoint(p.position, base_index=bi) for p in points]
-        graphs.append(build_graph(pts, connection_radius, arm.at_base(bp), scene,
-                                  edge_check_count))
+    graphs = task_graphs(grid_region, spacing, connection_radius, arm, scene,
+                         edge_check_count, base_poses)
     if not any(g.nodes for g in graphs):
         raise EmptyGraphError("no grid point is reachable from any base pose")
     found, coverage = _cover(graphs, params, [1] * len(graphs))

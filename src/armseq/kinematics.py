@@ -145,16 +145,16 @@ def _shifted_into(angle: float, lo: float, hi: float):
     return out
 
 
-def _ik_candidates(arm: ArmModel, target) -> list[np.ndarray]:
+def _ik_candidates(arm: ArmModel, tx: float, ty: float) -> list[tuple[float, ...]]:
     bx, by = arm.base_position
-    dx, dy = float(target[0]) - bx, float(target[1]) - by
+    dx, dy = tx - bx, ty - by
     cands = []
     if arm.dof == 2:
         l1, l2 = arm.link_lengths
         for t1, t2 in _two_link_branches(l1, l2, dx, dy):
             for a1 in _shifted_into(t1, *arm.joint_limits[0]):
                 for a2 in _shifted_into(t2, *arm.joint_limits[1]):
-                    cands.append(np.array([a1, a2]))
+                    cands.append((a1, a2))
     else:
         l1, l2, l3 = arm.link_lengths
         lo, hi = arm.joint_limits[0]
@@ -166,29 +166,53 @@ def _ik_candidates(arm: ArmModel, target) -> list[np.ndarray]:
             for a2_abs, t3 in _two_link_branches(l2, l3, dx - ox, dy - oy):
                 for q2 in _shifted_into(a2_abs - q1, *arm.joint_limits[1]):
                     for q3 in _shifted_into(t3, *arm.joint_limits[2]):
-                        cands.append(np.array([q1, q2, q3]))
+                        cands.append((q1, q2, q3))
     return cands
 
 
-def ik_solutions(check, task: TaskPoint) -> list[np.ndarray]:
-    """Valid IK set Q(t): configurations of ``check.arm`` reaching ``task`` that
-    ``check.valid_many`` accepts (``check`` is a :class:`armseq.world.Checker`),
-    asked once for all candidates that reach the target.
+def _tip_miss(arm: ArmModel, q, tx: float, ty: float) -> float:
+    """Tip distance of ``q`` from (tx, ty), in :func:`forward_kinematics`'s float steps."""
+    x, y = arm.base_position
+    ang = 0.0
+    for length, qi in zip(arm.link_lengths, q):
+        ang += qi
+        x += length * math.cos(ang)
+        y += length * math.sin(ang)
+    return math.hypot(x - tx, y - ty)
+
+
+def ik_solutions_many(check, targets) -> list[list[np.ndarray]]:
+    """Valid IK set Q(t) of every (x, y) target t: the configurations of
+    ``check.arm`` reaching t that ``check.valid_many`` accepts (``check`` is a
+    :class:`armseq.world.Checker`), asked once for all targets' candidates.
 
     For 2 DOF this is the analytic elbow branch set; for 3 DOF the first joint
     is swept at ``free_joint_resolution`` and the remaining 2-link subproblem is
-    solved analytically. The result is deduplicated (pairwise d_C > 1e-6) and
+    solved analytically. Each set is deduplicated (pairwise d_C > 1e-6) and
     sorted lexicographically by angles, so identical inputs give identical lists.
     An empty list means the target is unreachable or fully colliding.
     """
     arm = check.arm
-    target = np.asarray(task.position, dtype=float)
-    reach = [q for q in _ik_candidates(arm, target)
-             if math.hypot(*(forward_kinematics(arm, q)[0] - target)) <= TIP_TOLERANCE]
-    kept = [q for q, ok in zip(reach, check.valid_many(reach)) if ok]
-    kept.sort(key=tuple)
-    out: list[np.ndarray] = []
-    for q in kept:
-        if all(config_distance(q, p) > IK_DEDUP_TOLERANCE for p in out):
-            out.append(q)
+    cands, first = [], [0]
+    for tx, ty in targets:
+        tx, ty = float(tx), float(ty)
+        cands += [q for q in _ik_candidates(arm, tx, ty)
+                  if _tip_miss(arm, q, tx, ty) <= TIP_TOLERANCE]
+        first.append(len(cands))
+    ok = check.valid_many(np.array(cands, dtype=float).reshape(len(cands), arm.dof))
+    out = []
+    for a, b in zip(first, first[1:]):
+        rows = np.array(sorted(q for q, good in zip(cands[a:b], ok[a:b]) if good),
+                        dtype=float).reshape(-1, arm.dof)
+        n = 0
+        for q in rows:
+            if (np.abs(rows[:n] - q).max(axis=1) > IK_DEDUP_TOLERANCE).all():
+                rows[n] = q
+                n += 1
+        out.append([q.copy() for q in rows[:n]])  # a kept row holds no other row
     return out
+
+
+def ik_solutions(check, task: TaskPoint) -> list[np.ndarray]:
+    """Valid IK set Q(t) of one task (see :func:`ik_solutions_many`)."""
+    return ik_solutions_many(check, [task.position])[0]

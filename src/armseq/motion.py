@@ -113,9 +113,10 @@ def adapt_trajectory(seed: Trajectory, check: Checker, rng_seed: int = 0) -> Tra
                 return k
         return None
 
-    # phase 1: every interior waypoint must itself be collision-free
-    for i in range(1, len(wps) - 1):
-        if check.valid(wps[i]):
+    # phase 1: every interior waypoint must itself be collision-free; a repair
+    # replaces only its own waypoint, so one check answers for all of them
+    for i, ok in enumerate(check.valid_many(wps[1:-1]), start=1):
+        if ok:
             continue
         for _ in range(REPAIR_ATTEMPTS):
             cand = np.clip(wps[i] + rng.uniform(-0.2, 0.2, size=check.arm.dof), lo, hi)

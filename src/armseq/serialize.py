@@ -8,9 +8,11 @@ encoding), so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -19,11 +21,11 @@ from .decomposition import (Decomposition, DecompositionParams, GhaMap, GhaVerif
 from .kinematics import ArmModel, TaskPoint
 from .motion import SOURCE_STRAIGHT, Trajectory, TrajectoryMetrics
 from .sequencer import Leg, SequencePlan
-from .taskgraph import TaskGraph
+from .taskgraph import IslandWarning, TaskGraph, task_graphs
 from .world import Box, Disc, Scene
 
 SCHEMA_VERSION = 1  # scenario files, plan records and bench reports
-ARTIFACT_VERSION = 2  # decomposition artifacts
+ARTIFACT_VERSION = 3  # decomposition artifacts
 
 
 class SchemaError(ValueError):
@@ -236,10 +238,8 @@ class Scenario:
         self.dt = _opt(motion, "dt", float, 0.01, path + ".motion")
         for key in ("step", "timeout", "dt"):
             _ensure(getattr(self, key) > 0, "%s.motion.%s" % (path, key), "must be positive")
-        self.base_poses = None
-        if data.get("base_poses"):
-            self.base_poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
-                               for i, b in enumerate(data["base_poses"])]
+        self.base_poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
+                           for i, b in enumerate(data.get("base_poses") or [])] or None
         bench = data.get("bench") or {}
         counts = _opt(bench, "task_counts", list, [3, 5, 8], path + ".bench")
         self.task_counts = [_field(c, int, "%s.bench.task_counts[%d]" % (path, i))
@@ -262,47 +262,11 @@ def load_scenario(path) -> Scenario:
 
 # ----------------------------------------------------------------- taskgraph
 
-def graph_to_dict(g: TaskGraph) -> dict:
-    return {
-        "nodes": [list(p.position) for p in g.nodes],
-        "ik_sets": [a.tolist() for a in g.ik_arrays],
-        "edges": [[i, j, w] for (i, j), w in sorted(g.edges.items())],
-        "connection_radius": g.connection_radius,
-    }
-
-
-def _config(value, dof, path) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != dof:
-        raise SchemaError("%s: expected a configuration of %d finite numbers" % (path, dof))
-    return np.array([_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)])
-
-
-def _configs(values, dof, path) -> list[np.ndarray]:
-    if not isinstance(values, list) or not values:
-        raise SchemaError("%s: expected a nonempty list of configurations" % path)
-    return [_config(q, dof, "%s[%d]" % (path, k)) for k, q in enumerate(values)]
-
-
-def graph_from_dict(d, dof: int, base_index: int | None, path="graph") -> TaskGraph:
-    """Task graph of an arm with ``dof`` joints, on base pose ``base_index`` (None
-    for a fixed base); edges are [i, j, d_T] with i < j."""
-    nodes = [TaskPoint(_pair(p, "%s.nodes[%d]" % (path, i)), base_index=base_index)
-             for i, p in enumerate(_req(d, "nodes", list, path))]
-    sets = _req(d, "ik_sets", list, path)
-    if len(sets) != len(nodes):
-        raise SchemaError("%s.ik_sets: expected %d sets, one per node" % (path, len(nodes)))
-    ik_sets = [_configs(sols, dof, "%s.ik_sets[%d]" % (path, i)) for i, sols in enumerate(sets)]
-    edges = {}
-    for k, e in enumerate(_req(d, "edges", list, path)):
-        p = "%s.edges[%d]" % (path, k)
-        if not isinstance(e, list) or len(e) != 3:
-            raise SchemaError("%s: expected [i, j, d_T]" % p)
-        i, j = _field(e[0], int, p + "[0]"), _field(e[1], int, p + "[1]")
-        w = _field(e[2], float, p + "[2]")
-        if not 0 <= i < j < len(nodes) or w < 0:
-            raise SchemaError("%s: expected nodes 0 <= i < j < %d and d_T >= 0" % (p, len(nodes)))
-        edges[(i, j)] = w
-    return TaskGraph(nodes, ik_sets, edges, _req(d, "connection_radius", float, path))
+def graph_digest(g: TaskGraph) -> str:
+    """sha256 of the JSON text of the graph's nodes, IK candidate rows and edges."""
+    text = json.dumps([[p.position for p in g.nodes], [a.tolist() for a in g.ik_arrays],
+                       sorted(g.edges.items())])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # --------------------------------------------------------------- GhaMap etc.
@@ -367,8 +331,7 @@ def artifact_to_dict(dec: Decomposition, scenario_raw: dict,
         "schema_version": ARTIFACT_VERSION,
         "kind": "decomposition",
         "scenario": scenario_raw,
-        "graphs": [graph_to_dict(g) for g in dec.graphs],
-        "base_poses": None if dec.base_poses is None else [list(b) for b in dec.base_poses],
+        "graph_digests": [graph_digest(g) for g in dec.graphs],
         "maps": [map_to_dict(m) for m in dec.maps],
         "coverage": dec.coverage,
         "params": params_to_dict(dec.params),
@@ -377,6 +340,8 @@ def artifact_to_dict(dec: Decomposition, scenario_raw: dict,
 
 
 def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
+    """The decomposition of an artifact, on task graphs rebuilt from its scenario;
+    each must match its stored digest before any map is read."""
     path = "artifact"
     if _object(d, path).get("kind") != "decomposition":
         raise SchemaError("%s.kind: expected 'decomposition'" % path)
@@ -386,19 +351,20 @@ def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
     scenario = Scenario(_req(d, "scenario", dict, path))
     params = params_from_dict(_req(d, "params", dict, path), path + ".params")
     coverage = _req(d, "coverage", float, path)
-    poses = d.get("base_poses")
-    if poses is not None:
-        poses = [_pair(b, "%s.base_poses[%d]" % (path, i))
-                 for i, b in enumerate(_field(poses, list, path + ".base_poses"))]
-    if poses != scenario.base_poses:
-        raise SchemaError("%s.base_poses: expected %s, the scenario's base poses"
-                          % (path, json.dumps(scenario.base_poses)))
-    graphs = [graph_from_dict(g, scenario.arm.dof, None if poses is None else i,
-                              "%s.graphs[%d]" % (path, i))
-              for i, g in enumerate(_req(d, "graphs", list, path))]
-    if len(graphs) != (1 if poses is None else len(poses)):
-        raise SchemaError("%s.base_poses: expected null with one graph, or one pose per "
-                          "graph" % path)
+    poses = scenario.base_poses
+    digests = _req(d, "graph_digests", list, path)
+    if len(digests) != (1 if poses is None else len(poses)):
+        raise SchemaError("%s.graph_digests: expected %d, one per task graph of the scenario"
+                          % (path, 1 if poses is None else len(poses)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IslandWarning)
+        graphs = task_graphs(scenario.grid_region, scenario.grid_spacing,
+                             scenario.connection_radius, scenario.arm, scenario.scene,
+                             scenario.edge_check_count, poses)
+    for i, (g, digest) in enumerate(zip(graphs, digests)):
+        if graph_digest(g) != _field(digest, str, "%s.graph_digests[%d]" % (path, i)):
+            raise SchemaError("%s.graph_digests[%d]: the task graph rebuilt from the scenario "
+                              "differs; run armseq decompose again" % (path, i))
     dec = Decomposition([], graphs, params, coverage, poses)
     dec.maps = [map_from_dict(m, dec, "%s.maps[%d]" % (path, i))
                 for i, m in enumerate(_req(d, "maps", list, path))]
@@ -406,6 +372,12 @@ def artifact_from_dict(d) -> tuple[Decomposition, Scenario]:
 
 
 # -------------------------------------------------------------------- plans
+
+def _config(value, dof, path) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != dof:
+        raise SchemaError("%s: expected a configuration of %d finite numbers" % (path, dof))
+    return np.array([_field(v, float, "%s[%d]" % (path, k)) for k, v in enumerate(value)])
+
 
 def _metrics_to_dict(m) -> dict | None:
     if m is None:
@@ -447,7 +419,9 @@ def plan_from_dict(d, dof: int) -> SequencePlan:
     for i, ld in enumerate(_req(d, "legs", list, path)):
         p = "%s.legs[%d]" % (path, i)
         from_label, to_label = _req(ld, "from", int, p), _req(ld, "to", int, p)
-        wps = _configs(_req(ld, "waypoints", list, p), dof, p + ".waypoints")
+        wps = [_config(q, dof, "%s.waypoints[%d]" % (p, k))
+               for k, q in enumerate(_req(ld, "waypoints", list, p))]
+        _ensure(wps, p + ".waypoints", "expected a nonempty list of configurations")
         m = _maybe(ld, "metrics", dict, p)
         legs.append(Leg(
             from_label, to_label,

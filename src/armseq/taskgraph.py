@@ -14,7 +14,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .kinematics import ArmModel, TaskPoint, ik_solutions, task_distance
+from .kinematics import ArmModel, TaskPoint, ik_solutions_many, task_distance
 from .world import Checker, Scene
 
 
@@ -129,40 +129,45 @@ def build_graph(points, radius: float, arm: ArmModel, scene: Scene,
     Points without a valid IK solution are dropped. An edge joins nodes i, j iff
     d_T(i, j) <= radius and a valid IK solution exists at ``edge_check_count``
     equally spaced workspace points along the straight segment between them.
-    A disconnected result is reported with :class:`IslandWarning` (not fatal).
+    One :func:`ik_solutions_many` call answers every point and one every
+    interior segment point. A disconnected result is reported with
+    :class:`IslandWarning` (not fatal).
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if edge_check_count < 2:
         raise ValueError("edge_check_count must be at least 2")
     check = Checker(arm, scene)
-    nodes: list[TaskPoint] = []
-    ik_sets: list[list[np.ndarray]] = []
-    for p in points:
-        sols = ik_solutions(check, p)
-        if sols:
-            nodes.append(p)
-            ik_sets.append(sols)
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(len(nodes)):
-        xi, yi = nodes[i].position
-        for j in range(i + 1, len(nodes)):
-            d = task_distance(nodes[i], nodes[j])
-            if d > radius:
-                continue
-            xj, yj = nodes[j].position
-            feasible = True
-            for k in range(1, edge_check_count - 1):
-                s = k / (edge_check_count - 1)
-                mid = TaskPoint((xi + s * (xj - xi), yi + s * (yj - yi)),
-                                base_index=nodes[i].base_index)
-                if not ik_solutions(check, mid):
-                    feasible = False
-                    break
-            if feasible:
-                edges[(i, j)] = d
+    sets = ik_solutions_many(check, [p.position for p in points])
+    nodes = [p for p, sols in zip(points, sets) if sols]
+    ik_sets = [sols for sols in sets if sols]
+    pairs = [(i, j, task_distance(nodes[i], nodes[j]))
+             for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
+    pairs = [(i, j, d) for i, j, d in pairs if d <= radius]
+    steps = [k / (edge_check_count - 1) for k in range(1, edge_check_count - 1)]
+    mids = []
+    for i, j, _ in pairs:
+        (xi, yi), (xj, yj) = nodes[i].position, nodes[j].position
+        mids += [(xi + s * (xj - xi), yi + s * (yj - yi)) for s in steps]
+    reach = ik_solutions_many(check, mids)
+    per = len(steps)
+    edges = {(i, j): d for e, (i, j, d) in enumerate(pairs)
+             if all(reach[e * per:(e + 1) * per])}
     graph = TaskGraph(nodes, ik_sets, edges, float(radius))
     if len(graph) > 1 and graph.component_count() > 1:
         warnings.warn(IslandWarning("task graph has %d disconnected components"
                                     % graph.component_count()))
     return graph
+
+
+def task_graphs(region, spacing: float, radius: float, arm: ArmModel, scene: Scene,
+                edge_check_count: int = 5, base_poses=None) -> list[TaskGraph]:
+    """The task graphs of a scenario over its grid (see :func:`build_task_grid`):
+    one for a fixed base (``base_poses`` None), else one per base pose, with the
+    arm moved there and the nodes carrying that pose's index."""
+    points = build_task_grid(region, spacing)
+    if base_poses is None:
+        return [build_graph(points, radius, arm, scene, edge_check_count)]
+    return [build_graph([TaskPoint(p.position, base_index=bi) for p in points], radius,
+                        arm.at_base(bp), scene, edge_check_count)
+            for bi, bp in enumerate(base_poses)]

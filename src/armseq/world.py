@@ -17,6 +17,7 @@ from .kinematics import ArmModel, config_distance
 
 OFFLINE = "offline"
 ONLINE = "online"
+KERNEL_ROWS = 1024  # a block's temporaries stay within a few MB
 
 
 @dataclass(frozen=True)
@@ -113,9 +114,13 @@ def _segs_hit(ax, ay, bx, by, cx, cy, dx, dy, r):
 
 def configs_valid(arm: ArmModel, Q, scene: Scene) -> np.ndarray:
     """Row i is True iff configuration ``Q[i]`` is valid: no link capsule
-    touches an obstacle and no two non-adjacent links collide."""
+    touches an obstacle and no two non-adjacent links collide. Rows are checked
+    in blocks of at most ``KERNEL_ROWS``."""
     Q = np.asarray(Q, dtype=float).reshape(len(Q), arm.dof)
     m = len(Q)
+    if m > KERNEL_ROWS:
+        return np.concatenate([configs_valid(arm, Q[k:k + KERNEL_ROWS], scene)
+                               for k in range(0, m, KERNEL_ROWS)])
     if arm.dof == 2 and not scene.obstacles:
         return np.ones(m, dtype=bool)
     ang, lengths, base = np.cumsum(Q, axis=1), np.array(arm.link_lengths), arm.base_position

@@ -29,28 +29,28 @@ RAIL_TASKS = [[-1.6, 0.8], [-1.0, 0.7], [-0.3, 0.9], [0.3, 0.7], [1.0, 0.9], [1.
 GOLDEN = {
     "tabletop": (
         TABLETOP_TASKS,
-        "41b48e115193d9407a8622c60dfd1037c00971e87c2dcdd85e38d567b6ad0d80",
+        "0170e99e5382e75a5e9a081f0ff41eaaf85b1e6d46a9c4c47c59ee6dc4d280c5",
         "1c6531890646769e2c0984dc74213f400f6e507c917a80c96e02c416eeb872b7",
         "d4c60d43d30660824760e3d5631bf3a88e3947bf8084a38351011ca28cad2b86",
         "759ec5a07c486311527ed7ef769f7896ce2078fc3167a6b5055f2c77eeae3792",
     ),
     "tabletop_3link": (
         TABLETOP_TASKS,
-        "bd91480c6652f0846de622b510fd2c64a65c4984fe056da1e37e596b79c9f80e",
+        "9c043a467423aa6eb59938bd7f999567fd8475a94fce48ce95b303c8baf628d8",
         "d3f7cb0310f938307e8e81a0b7fe0948db3b47735c7b95f475e65cb053182901",
         "f9f00c671513025ecbeabbe76bd93dd4ada4c8f13cb5cdfa089855264c8405d1",
         "1e5d6edc1a245a2d5b5b1ea73fdf24b360fc40386876988436dd5751f2eb7b42",
     ),
     "tabletop_single_box": (
         TABLETOP_TASKS,
-        "e50b1fba291d802c64bc938172d1aad85ac7e8da7ff6c2a4a617757d45029b39",
+        "719a97e68797a47985ba3529568f6555a71c440cb85d7edbf96d9ed64f5d7b85",
         "9885e1324c0fb2b7a651c7cde2c1d9fed5a2ebab31e6d1c1bd51f901953ec0f9",
         "25c0c2902db5d7f889735c8d5014c674d099b60818bec964c587f2899d573a6b",
         "7c4151edf14ef851eaa6f643db9fe2d2ff8eec1af10974f69523be25e7439972",
     ),
     "rail_mobile": (
         RAIL_TASKS,
-        "304bdf2f260c1b93b168afde8c9365a7c835bb2054478176f5c9f8c7a25a1723",
+        "28c4543a9f9642c05f6b1a6f44bb6be29e4a6d91d3571b6bc19df2219e9a0fc0",
         "14158be936dd6b7f7201656eee332f72abf3ea8a43ef3c721e3ebee1ab7ad348",
         "03e69983a1d6844b139595d802f95cf4de5b65329f4c468b4b7b45d531be0292",
         "2c8d6a7c212e1cc940789c3b8d7edc20ef2682b63514f38e20c8390117795ff7",

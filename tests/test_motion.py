@@ -188,6 +188,9 @@ class _FakeChecker:
     def valid(self, q):
         return True
 
+    def valid_many(self, Q):
+        return np.ones(len(Q), dtype=bool)
+
     def motion(self, a, b):
         return self.motion_ok
 

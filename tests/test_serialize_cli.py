@@ -9,9 +9,8 @@ import pytest
 from armseq import decompose, verify_gha
 from armseq.cli import main
 from armseq.serialize import (SchemaError, Scenario, artifact_from_dict,
-                              artifact_to_dict, dumps, graph_from_dict,
-                              graph_to_dict, load_json, map_to_dict,
-                              plan_from_dict, plan_to_dict)
+                              artifact_to_dict, dumps, graph_digest, load_json,
+                              map_to_dict, plan_from_dict, plan_to_dict)
 
 
 def test_scenario_parses(tabletop_scenario):
@@ -42,14 +41,6 @@ def test_scenario_schema_errors(scenario_json):
         Scenario(bad)
 
 
-def test_graph_round_trip(tabletop_graph):
-    d = graph_to_dict(tabletop_graph)
-    g2 = graph_from_dict(json.loads(json.dumps(d)), dof=2, base_index=None)
-    assert graph_to_dict(g2) == d
-    assert len(g2) == len(tabletop_graph)
-    assert g2.edges == tabletop_graph.edges
-
-
 def test_artifact_round_trip(tabletop_scenario, tabletop_graph, tabletop_decomposition):
     eps = tabletop_scenario.decomposition.epsilon
     reports = [verify_gha(m, tabletop_graph, eps, hop_samples=50, geodesic_samples=10)
@@ -58,6 +49,9 @@ def test_artifact_round_trip(tabletop_scenario, tabletop_graph, tabletop_decompo
     text = dumps(art)
     dec2, sc2 = artifact_from_dict(json.loads(text))
     graph2 = dec2.graphs[0]
+    # the graph is rebuilt from the scenario, not read back
+    assert "graphs" not in art and "base_poses" not in art
+    assert graph_digest(graph2) == graph_digest(tabletop_graph) == art["graph_digests"][0]
     reports2 = [verify_gha(m, graph2, eps, hop_samples=50, geodesic_samples=10)
                 for m in dec2.maps]
     art2 = artifact_to_dict(dec2, sc2.raw, reports2)
@@ -138,12 +132,18 @@ def test_cli_verify_ok(artifact_path):
     assert main(["verify", "--artifact", str(artifact_path)]) == 0
 
 
+def _candidate_counts(art):
+    """IK candidates per node of the artifact's (first) task graph."""
+    dec, _ = artifact_from_dict(art)
+    return [len(rows) for rows in dec.graphs[0].ik_sets]
+
+
 def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
     art = load_json(artifact_path)
     bad = copy.deepcopy(art)
     # switch the first assigned node with two IK candidates to its other one
-    pick, ik_sets = bad["maps"][0]["pick"], bad["graphs"][0]["ik_sets"]
-    node = next(u for u, i in enumerate(pick) if i >= 0 and len(ik_sets[u]) == 2)
+    pick, counts = bad["maps"][0]["pick"], _candidate_counts(art)
+    node = next(u for u, i in enumerate(pick) if i >= 0 and counts[u] == 2)
     pick[node] = 1 - pick[node]
     bad_path = workdir / "corrupt.json"
     bad_path.write_text(dumps(bad))
@@ -154,20 +154,6 @@ def test_cli_verify_detects_corruption(workdir, artifact_path, capsys):
     worse_path = workdir / "tiny_eps.json"
     worse_path.write_text(dumps(worse))
     assert main(["verify", "--artifact", str(worse_path)]) == 4
-
-
-@pytest.mark.parametrize("ik_set", [[[0.1, 0.2], [0.3]], [["x", 0.2]], [[None, 0.2]],
-                                    [[True, 0.2]], [], [0.1, 0.2], "x", [[0.1, 0.2, 0.3]]],
-                         ids=["ragged", "string", "null", "bool", "empty", "flat", "text", "dof"])
-def test_cli_rejects_malformed_artifact_ik_set(workdir, artifact_path, capsys, ik_set):
-    art = load_json(artifact_path)
-    art["graphs"][0]["ik_sets"][3] = ik_set
-    bad_path = workdir / "bad_ik_set.json"
-    bad_path.write_text(json.dumps(art))
-    assert main(["verify", "--artifact", str(bad_path)]) == 1
-    err = capsys.readouterr().err
-    assert "input error: artifact.graphs[0].ik_sets[3]" in err
-    assert "Traceback" not in err
 
 
 def _set(*keys_value):
@@ -188,17 +174,16 @@ def _unassign_root(art):
 
 
 def _pick_past_last_candidate(art):
-    art["maps"][0]["pick"][0] = len(art["graphs"][0]["ik_sets"][0])
+    art["maps"][0]["pick"][0] = _candidate_counts(art)[0]
 
 
 @pytest.mark.parametrize("where, edit", [
-    ("schema_version: expected 2; run armseq decompose again", _set("schema_version", 1)),
-    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [0, 1])),
-    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [1, 0, 0.1])),
-    ("graphs[0].edges[0]", _set("graphs", 0, "edges", 0, [0, 99999, 0.1])),
-    ("graphs[0].edges[0][2]", _set("graphs", 0, "edges", 0, [0, 1, "x"])),
-    ("graphs[0].ik_sets", lambda art: art["graphs"][0]["ik_sets"].pop()),
-    ("base_poses", lambda art: art["graphs"].append(art["graphs"][0])),
+    ("schema_version: expected 3; run armseq decompose again", _set("schema_version", 1)),
+    ("schema_version: expected 3; run armseq decompose again", _set("schema_version", 2)),
+    ("graph_digests: missing required field", lambda art: art.pop("graph_digests")),
+    ("graph_digests: expected 1, one per task graph",
+     lambda art: art["graph_digests"].append(art["graph_digests"][0])),
+    ("graph_digests[0]: expected str", _set("graph_digests", 0, 7)),
     ("maps[0].pick", lambda art: art["maps"][0]["pick"].pop()),
     ("maps[0].pick[0]", _pick_past_last_candidate),
     ("maps[0].pick[0]", _set("maps", 0, "pick", 0, True)),
@@ -209,8 +194,8 @@ def _pick_past_last_candidate(art):
     ("maps[0].root", _unassign_root),
     ("maps[0].base_index", _set("maps", 0, "base_index", 0)),
     ("maps[0]", _set("maps", 0, [])),
-], ids=["schema-version-1", "edge-pair", "edge-reversed", "edge-node-range", "edge-weight",
-        "ik-set-count", "base-poses-null", "pick-short", "pick-range", "pick-bool",
+], ids=["schema-version-1", "schema-version-2", "digest-missing", "digest-count",
+        "digest-text", "pick-short", "pick-range", "pick-bool",
         "tree-edge-range", "tree-edge-text", "tree-edge-float", "root-range",
         "root-unassigned", "base-index", "map-list"])
 def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, edit):
@@ -222,6 +207,32 @@ def test_cli_rejects_malformed_artifact(workdir, artifact_path, capsys, where, e
     err = capsys.readouterr().err
     assert "input error: artifact." + where in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    _set("scenario", "scene", 0, "max", [-0.7, 0.1]),
+    _set("scenario", "arm", "link_lengths", [1.0, 0.9]),
+    _set("scenario", "task_grid", "spacing", 0.3),
+], ids=["static-obstacle", "link-length", "grid-spacing"])
+def test_cli_rejects_stale_artifact(workdir, artifact_path, capsys, edit):
+    art = load_json(artifact_path)
+    edit(art)
+    stale = workdir / "stale_artifact.json"
+    stale.write_text(dumps(art))
+    assert main(["verify", "--artifact", str(stale)]) == 1
+    err = capsys.readouterr().err
+    assert "input error: artifact.graph_digests[0]: the task graph rebuilt from the " \
+        "scenario differs; run armseq decompose again" in err
+    assert "Traceback" not in err
+
+
+def test_cli_loads_artifact_after_online_edit(workdir, artifact_path):
+    # online obstacles are no part of the task graph
+    art = load_json(artifact_path)
+    art["scenario"]["online_obstacles"] = []
+    edited = workdir / "online_edit_artifact.json"
+    edited.write_text(dumps(art))
+    assert main(["verify", "--artifact", str(edited)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -492,13 +503,15 @@ def test_mobile_scenario_artifact_round_trip(scenario_json, tmp_path, capsys):
     assert len(dec.graphs) == len(dec.base_poses) == len(sc.base_poses)
     assert all(m.base_pose is not None for m in dec.maps)
     assert main(["verify", "--artifact", str(out)]) == 0
-    # a base pose that is not the scenario's would plan with the arm moved
+    # the maps of a moved base pose would plan with the arm somewhere else
     art = load_json(out)
-    art["base_poses"][0] = [0.3, 0.0]
+    art["scenario"]["base_poses"][1] = [0.3, 0.0]
     out.write_text(dumps(art))
     assert main(["verify", "--artifact", str(out)]) == 1
-    assert "input error: artifact.base_poses: expected [[-0.8, 0.0], [0.8, 0.0]]" in \
-        capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "input error: artifact.graph_digests[1]: the task graph rebuilt from the " \
+        "scenario differs; run armseq decompose again" in err
+    assert "Traceback" not in err
 
 
 def test_cli_sequence_deterministic(workdir, artifact_path):
